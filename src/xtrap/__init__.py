@@ -24,12 +24,11 @@ from .dataio import (
     write_queries,
     write_run,
 )
-from .metrics import MetricReport, MetricSpec, evaluate, mrr, ndcg, recall
+from .metrics import MetricReport, MetricSpec, score_run
 from .simindex import (
     Bm25Index,
     Bm25Params,
     NeighborList,
-    bm25_build,
     bm25_grid_search,
     bm25_search,
     knn,

@@ -4,10 +4,10 @@ correlations, inter-annotator agreement, and 2-D PCA for split plots.
 The overlap audit answers "how many test queries share at least one
 relevant passage with the training judgments" at configurable grade
 thresholds. Correlations follow the tie-corrected textbook definitions
-(average ranks for Spearman, tau-b tie terms for Kendall). PCA is a
-small power-iteration eigensolver so projections are reproducible
-bit-for-bit; it is meant for plotting, not for the resampling protocol
-itself.
+(average ranks for Spearman, tau-b tie terms for Kendall). PCA solves
+the dense d x d covariance with a symmetric eigensolver and fixes each
+axis' sign, so projections are reproducible; it is meant for plotting,
+not for the resampling protocol itself.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _iter_lines
-
-# fixed internal seed for power-iteration start vectors (reproducibility)
-_PCA_SEED = 0x9A7E11
+from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _iter_lines, _row_chunks, atomic_output
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def relevant_overlap(
 
 def write_overlap_report(report: OverlapReport, path) -> None:
     """TSV `threshold<TAB>count<TAB>total<TAB>percent`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for row in report.rows:
             f.write(f"{row.threshold.label}\t{row.count}\t{row.total}\t{row.percent:.2f}\n")
 
@@ -235,105 +232,51 @@ def median_label(labels: Sequence) -> object:
     return sorted(labels)[len(labels) // 2]
 
 
+def _column_mean(points: EmbeddingSet) -> np.ndarray:
+    """Per-coordinate mean accumulated in float64, chunked."""
+    total = np.zeros(points.dim, dtype=np.float64)
+    for _, block in _row_chunks(points.matrix):
+        total += block.sum(axis=0)
+    return total / len(points)
+
+
 def _covariance(points: EmbeddingSet) -> np.ndarray:
     """Sample covariance (divisor n-1) accumulated in float64, chunked."""
-    n, dim = len(points), points.dim
-    step = max(1, (16 * 1024 * 1024) // max(1, dim))
-    total = np.zeros(dim, dtype=np.float64)
-    for lo in range(0, n, step):
-        total += points.matrix[lo : lo + step].sum(axis=0, dtype=np.float64)
-    mean = total / n
-    cov = np.zeros((dim, dim), dtype=np.float64)
-    for lo in range(0, n, step):
-        centered = points.matrix[lo : lo + step].astype(np.float64) - mean
-        cov += centered.T @ centered
-    return cov / (n - 1)
+    mean = _column_mean(points)
+    cov = np.zeros((points.dim, points.dim), dtype=np.float64)
+    for _, block in _row_chunks(points.matrix):
+        block -= mean
+        cov += block.T @ block
+    return cov / (len(points) - 1)
 
 
-def _orthonormal_completion(components: list[np.ndarray], dim: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the found components."""
-    for axis in range(dim):
-        v = np.zeros(dim, dtype=np.float64)
-        v[axis] = 1.0
-        for c in components:
-            v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
-    raise DataError("no orthogonal direction left for a zero-variance component")
-
-
-def pca_components(
-    points: EmbeddingSet, out_dims: int = 2, tol: float = 1e-9, max_iters: int = 1000
-) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Top principal axes by power iteration with deflation.
+def pca_components(points: EmbeddingSet, out_dims: int = 2) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Top principal axes from a dense symmetric eigensolver on the covariance.
 
     Returns (components matrix of shape (out_dims, dim), eigenvalues in
-    descending order). Each component's largest-magnitude coordinate is
-    made positive so outputs are reproducible.
+    descending order, clamped at 0). Each component's largest-magnitude
+    coordinate is made positive so outputs are reproducible.
     """
     n, dim = len(points), points.dim
     if n < 2:
         raise DataError("PCA needs at least 2 points")
     if out_dims < 1 or out_dims > dim:
         raise DataError(f"out_dims must be in [1, {dim}], got {out_dims}")
-    deflated = _covariance(points)
-    rng = np.random.Generator(np.random.PCG64(_PCA_SEED))
-    components: list[np.ndarray] = []
-    eigenvalues: list[float] = []
-    for index in range(out_dims):
-        v = rng.standard_normal(dim)
-        for c in components:
-            v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            v = _orthonormal_completion(components, dim)
-        else:
-            v /= norm
-        converged = False
-        for _ in range(max_iters):
-            w = deflated @ v
-            for c in components:
-                w -= (c @ w) * c
-            norm = np.linalg.norm(w)
-            if norm < 1e-30:
-                # zero-variance residual: any orthogonal direction works
-                v = _orthonormal_completion(components, dim)
-                converged = True
-                break
-            w /= norm
-            if w @ v < 0.0:
-                w = -w
-            if np.linalg.norm(w - v) < tol:
-                v = w
-                converged = True
-                break
-            v = w
-        if not converged:
-            raise DataError(f"power iteration failed to converge for component {index}")
-        peak = int(np.argmax(np.abs(v)))
-        if v[peak] < 0.0:
-            v = -v
-        eigenvalue = float(v @ deflated @ v)
-        components.append(v)
-        eigenvalues.append(max(eigenvalue, 0.0))
-        deflated -= eigenvalue * np.outer(v, v)
-    return np.vstack(components), tuple(eigenvalues)
+    values, vectors = np.linalg.eigh(_covariance(points))
+    components = vectors[:, ::-1][:, :out_dims].T.copy()
+    peaks = np.argmax(np.abs(components), axis=1)
+    components *= np.sign(components[np.arange(out_dims), peaks])[:, None]
+    return components, tuple(max(float(v), 0.0) for v in values[::-1][:out_dims])
 
 
 def pca_project(points: EmbeddingSet, out_dims: int = 2) -> dict[str, np.ndarray]:
     """Project every embedding onto the top principal axes; id -> coordinates."""
     components, _ = pca_components(points, out_dims=out_dims)
-    n, dim = len(points), points.dim
-    step = max(1, (16 * 1024 * 1024) // max(1, dim))
-    total = np.zeros(dim, dtype=np.float64)
-    for lo in range(0, n, step):
-        total += points.matrix[lo : lo + step].sum(axis=0, dtype=np.float64)
-    mean = total / n
+    mean = _column_mean(points)
     out: dict[str, np.ndarray] = {}
-    for lo in range(0, n, step):
-        block = (points.matrix[lo : lo + step].astype(np.float64) - mean) @ components.T
-        for i, row in enumerate(block):
+    for lo, block in _row_chunks(points.matrix):
+        block -= mean
+        for i, row in enumerate(block @ components.T):
             out[points.ids[lo + i]] = row
     return out
 
@@ -343,7 +286,7 @@ def write_pca_projection(
 ) -> None:
     """TSV `id<TAB>x<TAB>y<TAB>group`; ids without a group get 'none'."""
     groups = groups or {}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for eid, coords in projection.items():
             values = "\t".join(f"{v:.6g}" for v in coords)
             f.write(f"{eid}\t{values}\t{groups.get(eid, 'none')}\n")

@@ -13,7 +13,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis, dataio, metrics, resample, simindex
 
@@ -22,19 +21,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 DEFAULT_SEED = 42
-
-
-@dataclass(frozen=True)
-class GlobalConfig:
-    """Process-wide knobs shared by the subcommands."""
-
-    threads: int = 0  # 0 = auto
-    seed: int = DEFAULT_SEED
-    verbosity: int = 0
-
-    def __post_init__(self):
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0")
 
 
 def resolve_threads(flag: int | None) -> int:
@@ -95,7 +81,7 @@ def cmd_knn(args) -> int:
     test = _read_embeddings(args.test_emb, args.emb_format)
     train = _read_embeddings(args.train_emb, args.emb_format)
     lists = simindex.knn(
-        test, train, args.k, measure=args.measure, threads=args.config.threads
+        test, train, args.k, measure=args.measure, threads=args.threads
     )
     simindex.write_neighbor_lists(lists, args.output)
     print(f"wrote top-{args.k} neighbors for {len(lists)} queries to {args.output}")
@@ -114,7 +100,7 @@ def cmd_candidates(args) -> int:
         train_emb,
         per_channel=args.per_channel,
         measure=args.measure,
-        threads=args.config.threads,
+        threads=args.threads,
     )
     simindex.write_candidate_pools(pools, args.output)
     total = sum(len(p) for p in pools.values())
@@ -141,11 +127,10 @@ def cmd_restrain(args) -> int:
     test = dataio.parse_queries(args.test_queries)
     train_emb = _read_embeddings(args.train_emb, args.emb_format)
     test_emb = _read_embeddings(args.test_emb, args.emb_format)
-    threads = args.config.threads
     if args.regime == "inter":
-        split = resample.restrain_interpolation(train, test, train_emb, test_emb, cfg, threads=threads)
+        split = resample.restrain_interpolation(train, test, train_emb, test_emb, cfg, threads=args.threads)
     else:
-        split = resample.restrain_extrapolation(train, test, train_emb, test_emb, cfg, threads=threads)
+        split = resample.restrain_extrapolation(train, test, train_emb, test_emb, cfg, threads=args.threads)
     resample.write_manifest(split, args.output)
     print(
         f"{split.regime} split: {len(split.training_ids)} training / "
@@ -181,7 +166,7 @@ def cmd_eval(args) -> int:
     spec = _metric_spec(args)
     run = dataio.parse_run(args.run)
     qrels = dataio.parse_qrels(args.qrels)
-    report = metrics.evaluate(run, qrels, [spec])[0]
+    report = metrics.score_run(run, qrels, spec)
     metrics.write_metric_report(report, args.output)
     print(f"{report.label} mean over {report.evaluated_count} queries: {report.mean:.4f}")
     if report.skipped_ids:
@@ -219,6 +204,13 @@ def cmd_overlap(args) -> int:
     return EXIT_OK
 
 
+def _write_values(rows: list[tuple[str, float]], path) -> None:
+    """TSV `name<TAB>value`, 4 decimals."""
+    with dataio.atomic_output(path) as f:
+        for name, value in rows:
+            f.write(f"{name}\t{value:.4f}\n")
+
+
 def cmd_correlate(args) -> int:
     pairs = analysis.read_pairs(args.pairs)
     lines = []
@@ -226,9 +218,7 @@ def cmd_correlate(args) -> int:
         lines.append(("spearman", analysis.spearman(pairs)))
     if args.method in ("kendall", "both"):
         lines.append(("kendall", analysis.kendall_tau_b(pairs)))
-    with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-        for name, value in lines:
-            f.write(f"{name}\t{value:.4f}\n")
+    _write_values(lines, args.output)
     for name, value in lines:
         print(f"{name} over {len(pairs)} pairs: {value:.4f}")
     return EXIT_OK
@@ -252,9 +242,7 @@ def cmd_kappa(args) -> int:
             results.append((f"rater{a + 1}-rater{b + 1}", analysis.cohens_kappa(aligned[a], aligned[b])))
     if len(results) > 1:
         results.append(("mean", sum(v for _, v in results) / len(results)))
-    with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-        for name, value in results:
-            f.write(f"{name}\t{value:.4f}\n")
+    _write_values(results, args.output)
     for name, value in results:
         print(f"kappa {name}: {value:.4f}")
     return EXIT_OK
@@ -394,11 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _configure_logging(args)
     try:
-        args.config = GlobalConfig(
-            threads=resolve_threads(getattr(args, "threads", None)),
-            seed=getattr(args, "seed", DEFAULT_SEED),
-            verbosity=getattr(args, "verbose", 0),
-        )
+        args.threads = resolve_threads(args.threads)
         return args.func(args)
     except (dataio.ParseError, dataio.DataError) as e:
         sys.stderr.write(f"xtrap: data error: {e}\n")

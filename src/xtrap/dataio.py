@@ -10,19 +10,24 @@ Formats handled here:
 - embeddings:   either a bespoke binary format (magic ``EVEC``, see
                 :func:`read_embeddings`) or ``id<TAB>v1 v2 ... vdim`` TSV
 
-All readers accept LF and CRLF line endings; writers emit LF only. Every
-parsed container is immutable after construction and safe to share across
-threads.
+All readers accept LF and CRLF line endings; writers emit LF only and go
+through :func:`atomic_output`, so an output file is either fully written or
+left as it was. Every parsed container is immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import logging
 import math
+import os
 import re
+import stat
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +43,60 @@ _WS = re.compile(r"\s")
 
 def _bad_id(value: str) -> bool:
     return not value or _WS.search(value) is not None
+
+
+# values per row chunk when a matrix is streamed through float64 temporaries
+_CHUNK_ELEMENTS = 16 * 1024 * 1024
+
+
+def _row_chunks(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first row, float64 copy of the rows) over bounded row chunks."""
+    step = max(1, _CHUNK_ELEMENTS // max(1, matrix.shape[1]))
+    for lo in range(0, matrix.shape[0], step):
+        yield lo, matrix[lo : lo + step].astype(np.float64)
+
+
+@contextlib.contextmanager
+def atomic_output(path, binary: bool = False) -> Iterator[IO]:
+    """Open `path` for writing (UTF-8 text with LF endings unless `binary`).
+
+    A regular file, or a symlink to one, is written to a temp file in the
+    target's directory that replaces the target only when the block
+    completes; on an error the target is left as it was. The temp file is
+    created with the umask's permissions, or the old target's if there was
+    one. A target that is not a regular file (a FIFO, a device) is written
+    in place.
+    """
+    mode, kwargs = ("b", {}) if binary else ("", {"encoding": "utf-8", "newline": "\n"})
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w" + mode, **kwargs) as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    for n in itertools.count():
+        tmp = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
+        try:
+            f = open(tmp, "x" + mode, **kwargs)
+            break
+        except FileExistsError:
+            continue
+        except OSError as e:  # report the output path, not the temp name
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from e
+    try:
+        with f:
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class ParseError(ValueError):
@@ -255,9 +314,6 @@ class EmbeddingSet:
     def vector(self, eid: str) -> np.ndarray:
         return self._matrix[self._index[eid]]
 
-    def position(self, eid: str) -> int:
-        return self._index[eid]
-
     def __contains__(self, eid: str) -> bool:
         return eid in self._index
 
@@ -302,7 +358,7 @@ def parse_queries(path) -> QuerySet:
 
 
 def write_queries(queries: QuerySet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for q in queries:
             f.write(f"{q.id}\t{q.text}\n")
 
@@ -334,7 +390,7 @@ def parse_qrels(path) -> QrelSet:
 
 
 def write_qrels(qrels: QrelSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for qid in qrels.query_ids():
             for docid, rel in qrels.docs(qid).items():
                 if _bad_id(qid) or _bad_id(docid):
@@ -392,7 +448,7 @@ def write_run(run: RunSet, path, tag: str | None = None) -> None:
     tag = tag or run.tag or "xtrap"
     if _bad_id(tag):
         raise DataError(f"run tag must be a whitespace-free token, got {tag!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for qid in run.query_ids():
             for rank, (docid, score) in enumerate(run.ranking(qid), start=1):
                 if _bad_id(qid) or _bad_id(docid):
@@ -440,6 +496,10 @@ def _read_embeddings_binary(path) -> EmbeddingSet:
     (dim,) = struct.unpack("<I", take(4, "dim"))
     if dim < 1:
         raise _binary_error(path, 16, "dim must be positive")
+    if count * (2 + 4 * dim) > len(data) - off:
+        raise _binary_error(
+            path, 8, f"count {count} of dim {dim} needs more than the {len(data) - off} bytes after the header"
+        )
     ids: list[str] = []
     matrix = np.empty((count, dim), dtype=np.float32)
     vec_bytes = 4 * dim
@@ -512,7 +572,7 @@ def write_embeddings(embeddings: EmbeddingSet, path, format: str = "binary") -> 
 
 def _write_embeddings_binary(embeddings: EmbeddingSet, path) -> None:
     matrix = np.ascontiguousarray(embeddings.matrix, dtype="<f4")
-    with open(path, "wb") as f:
+    with atomic_output(path, binary=True) as f:
         f.write(EMBEDDING_MAGIC)
         f.write(struct.pack("<IQI", EMBEDDING_VERSION, len(embeddings), embeddings.dim))
         for i, eid in enumerate(embeddings.ids):
@@ -526,7 +586,7 @@ def _write_embeddings_binary(embeddings: EmbeddingSet, path) -> None:
 
 def _write_embeddings_tsv(embeddings: EmbeddingSet, path) -> None:
     # %.9g is lossless for float32 round-trips
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for i, eid in enumerate(embeddings.ids):
             comps = " ".join("%.9g" % v for v in embeddings.matrix[i])
             f.write(f"{eid}\t{comps}\n")

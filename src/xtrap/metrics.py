@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .dataio import QrelSet, RunSet
+from .dataio import QrelSet, RunSet, atomic_output
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ def _query_recall(ranking, grades, spec: MetricSpec) -> float | None:
 
 
 def score_run(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
-    """Kind-dispatching engine behind mrr/ndcg/recall/evaluate."""
+    """Score every query of `run` by `spec`; queries absent from the qrels are skipped."""
     per_query: dict[str, float] = {}
     skipped: list[str] = []
     idcg_zero = 0
@@ -148,35 +148,9 @@ def score_run(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
     )
 
 
-def mrr(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
-    """Reciprocal rank of the first doc at/above the threshold within the cutoff."""
-    if spec.kind != "mrr":
-        raise ValueError(f"expected an mrr spec, got {spec.kind}")
-    return score_run(run, qrels, spec)
-
-
-def ndcg(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
-    """Normalized discounted cumulative gain at the cutoff."""
-    if spec.kind != "ndcg":
-        raise ValueError(f"expected an ndcg spec, got {spec.kind}")
-    return score_run(run, qrels, spec)
-
-
-def recall(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
-    """Fraction of a query's relevant docs retrieved within the cutoff."""
-    if spec.kind != "recall":
-        raise ValueError(f"expected a recall spec, got {spec.kind}")
-    return score_run(run, qrels, spec)
-
-
-def evaluate(run: RunSet, qrels: QrelSet, specs: list[MetricSpec]) -> list[MetricReport]:
-    """Score one run against several metric specs."""
-    return [score_run(run, qrels, spec) for spec in specs]
-
-
 def write_metric_report(report: MetricReport, path) -> None:
     """TSV rows `metric<TAB>qid<TAB>value` plus a final ALL row with the mean."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for qid in sorted(report.per_query):
             f.write(f"{report.label}\t{qid}\t{report.per_query[qid]:.4f}\n")
         f.write(f"{report.label}\tALL\t{report.mean:.4f}\n")

@@ -26,15 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, QuerySet, RunSet
+from .dataio import _iter_lines, _row_chunks, atomic_output
 from .metrics import MetricSpec, score_run
 from .simindex import MEASURES, knn
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "pcg64"
-
-# row chunk for distance computations; bounds float64 temporaries
-_CHUNK_ELEMENTS = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -166,21 +164,13 @@ class FoldSpec:
         )
 
 
-def _chunked_rows(n: int, dim: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // max(1, dim))
-
-
 def _sq_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distances, float64, chunked over rows."""
-    n, dim = X.shape
-    k = centroids.shape[0]
-    out = np.empty((n, k), dtype=np.float64)
-    step = _chunked_rows(n, dim)
-    for lo in range(0, n, step):
-        chunk = X[lo : lo + step].astype(np.float64)
-        for j in range(k):
-            diff = chunk - centroids[j]
-            out[lo : lo + step, j] = np.einsum("ij,ij->i", diff, diff)
+    out = np.empty((X.shape[0], centroids.shape[0]), dtype=np.float64)
+    for lo, chunk in _row_chunks(X):
+        for j, centroid in enumerate(centroids):
+            diff = chunk - centroid
+            out[lo : lo + len(chunk), j] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 
@@ -471,7 +461,7 @@ def resttest_aggregate(
 
 def write_aggregate_report(report: AggregateReport, path) -> None:
     """TSV `metric<TAB>qid<TAB>interpolation<TAB>extrapolation` plus an ALL row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for qid in sorted(report.per_query):
             inter, extra = report.per_query[qid]
             f.write(f"{report.label}\t{qid}\t{inter:.4f}\t{extra:.4f}\n")
@@ -492,35 +482,24 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
     by one id per line under `[training]`, `[test-interpolation]`,
     `[test-extrapolation]`, or `[bucket i]` sections. LF line endings.
     """
-    lines: list[str] = []
     if isinstance(spec, SplitSpec):
-        prov = dict(spec.provenance)
-        lines.append(f"#regime={spec.regime}")
-        if "seed" in prov:
-            lines.append(f"#seed={prov.pop('seed')}")
-        for key in sorted(prov):
-            lines.append(f"#{key}={prov[key]}")
-        lines.append("[training]")
-        lines.extend(_check_manifest_id(i) for i in spec.training_ids)
+        regime, k_header, training = spec.regime, [], spec.training_ids
         section = "test-interpolation" if spec.regime == "interpolation" else "test-extrapolation"
-        lines.append(f"[{section}]")
-        lines.extend(_check_manifest_id(i) for i in spec.test_ids)
+        sections = [(section, spec.test_ids)]
     elif isinstance(spec, FoldSpec):
-        prov = dict(spec.provenance)
-        lines.append("#regime=resttest")
-        if "seed" in prov:
-            lines.append(f"#seed={prov.pop('seed')}")
-        lines.append(f"#k={spec.k}")
-        for key in sorted(prov):
-            lines.append(f"#{key}={prov[key]}")
-        lines.append("[training]")
-        lines.extend(_check_manifest_id(i) for i in spec.train_ids)
-        for b, bucket in enumerate(spec.buckets):
-            lines.append(f"[bucket {b}]")
-            lines.extend(_check_manifest_id(i) for i in bucket)
+        regime, k_header, training = "resttest", [f"#k={spec.k}"], spec.train_ids
+        sections = [(f"bucket {b}", bucket) for b, bucket in enumerate(spec.buckets)]
     else:
         raise TypeError(f"cannot serialize {type(spec).__name__}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    prov = dict(spec.provenance)
+    lines = [f"#regime={regime}"]
+    if "seed" in prov:
+        lines.append(f"#seed={prov.pop('seed')}")
+    lines += k_header + [f"#{key}={prov[key]}" for key in sorted(prov)]
+    for name, ids in [("training", training), *sections]:
+        lines.append(f"[{name}]")
+        lines.extend(_check_manifest_id(i) for i in ids)
+    with atomic_output(path) as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -528,30 +507,24 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
     """Read back a manifest written by :func:`write_manifest`."""
     headers: dict[str, str] = {}
     sections: dict[str, list[str]] = {}
-    order: list[str] = []
     current: str | None = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if current is not None:
-                    raise ParseError(path, "header line after a section started", lineno)
-                key, sep, value = line[1:].partition("=")
-                if not sep:
-                    raise ParseError(path, "header must look like #key=value", lineno)
-                headers[key] = value
-            elif line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                if current in sections:
-                    raise ParseError(path, f"duplicate section [{current}]", lineno)
-                sections[current] = []
-                order.append(current)
-            else:
-                if current is None:
-                    raise ParseError(path, "id line before any section header", lineno)
-                sections[current].append(line)
+    for lineno, line in _iter_lines(path):
+        if line.startswith("#"):
+            if current is not None:
+                raise ParseError(path, "header line after a section started", lineno)
+            key, sep, value = line[1:].partition("=")
+            if not sep:
+                raise ParseError(path, "header must look like #key=value", lineno)
+            headers[key] = value
+        elif line.startswith("[") and line.endswith("]"):
+            current = line[1:-1]
+            if current in sections:
+                raise ParseError(path, f"duplicate section [{current}]", lineno)
+            sections[current] = []
+        else:
+            if current is None:
+                raise ParseError(path, "id line before any section header", lineno)
+            sections[current].append(line)
     regime = headers.pop("regime", None)
     if regime is None:
         raise ParseError(path, "missing #regime header")

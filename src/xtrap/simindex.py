@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DataError, EmbeddingSet, QrelSet, QuerySet, RunSet
-from .metrics import MetricReport, MetricSpec, score_run
+from .dataio import DataError, EmbeddingSet, QrelSet, QuerySet, RunSet, atomic_output
+from .metrics import MetricSpec, score_run
 
 logger = logging.getLogger(__name__)
 
@@ -212,10 +212,6 @@ class Bm25Index:
         self.len_ratio = lens / self.avgdl if self.avgdl > 0 else np.zeros_like(lens)
 
 
-def bm25_build(docs: QuerySet) -> Bm25Index:
-    return Bm25Index(docs)
-
-
 def bm25_search(
     index: Bm25Index,
     query_text: str,
@@ -232,7 +228,8 @@ def bm25_search(
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = np.zeros(index.n, dtype=np.float64)
-    for term in set(tokenize(query_text)):
+    # first-occurrence order keeps the float sum independent of the hash seed
+    for term in dict.fromkeys(tokenize(query_text)):
         posting = index.postings.get(term)
         if posting is None:
             continue
@@ -264,31 +261,15 @@ def bm25_grid_search(
     """Pick the grid point maximizing the metric; ties favor lower (k1, b)."""
     if not grid:
         raise ValueError("parameter grid must not be empty")
-    best: Bm25Params | None = None
-    best_mean = -1.0
-    for params in grid:
-        report = _evaluate_bm25(index, train_queries, qrels, params, spec)
-        if (
-            best is None
-            or report.mean > best_mean
-            or (report.mean == best_mean and (params.k1, params.b) < (best.k1, best.b))
-        ):
-            best, best_mean = params, report.mean
-    return best
 
+    def mean(params: Bm25Params) -> float:
+        rankings = {
+            q.id: bm25_search(index, q.text, spec.cutoff, params, query_id=q.id).neighbors
+            for q in train_queries
+        }
+        return score_run(RunSet(rankings), qrels, spec).mean
 
-def _evaluate_bm25(
-    index: Bm25Index,
-    queries: QuerySet,
-    qrels: QrelSet,
-    params: Bm25Params,
-    spec: MetricSpec,
-) -> MetricReport:
-    rankings = {
-        q.id: bm25_search(index, q.text, spec.cutoff, params, query_id=q.id).neighbors
-        for q in queries
-    }
-    return score_run(RunSet(rankings), qrels, spec)
+    return max(grid, key=lambda p: (mean(p), -p.k1, -p.b))
 
 
 def recall_candidates(
@@ -308,7 +289,7 @@ def recall_candidates(
     te = test_emb.subset(test.ids)
     tr = train_emb.subset(train.ids)
     dense = knn(te, tr, per_channel, measure=measure, threads=threads)
-    index = bm25_build(train)
+    index = Bm25Index(train)
     pools: dict[str, list[str]] = {}
     for query, dense_list in zip(test, dense):
         pool = [nid for nid, _ in dense_list.neighbors]
@@ -324,7 +305,7 @@ def recall_candidates(
 
 def write_neighbor_lists(lists: list[NeighborList], path) -> None:
     """TSV `test_id<TAB>rank<TAB>neighbor_id<TAB>score`, 6 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for nl in lists:
             for rank, (nid, score) in enumerate(nl.neighbors, start=1):
                 f.write(f"{nl.query_id}\t{rank}\t{nid}\t{score:.6g}\n")
@@ -332,7 +313,7 @@ def write_neighbor_lists(lists: list[NeighborList], path) -> None:
 
 def write_candidate_pools(pools: dict[str, list[str]], path) -> None:
     """TSV `test_id<TAB>rank<TAB>neighbor_id` in pool order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_output(path) as f:
         for qid, pool in pools.items():
             for rank, nid in enumerate(pool, start=1):
                 f.write(f"{qid}\t{rank}\t{nid}\n")

@@ -20,7 +20,7 @@ import oracles
 from conftest import FIXTURES, make_embeddings, make_queries, random_embeddings
 from xtrap import cli
 from xtrap.dataio import QrelSet, RunSet
-from xtrap.metrics import MetricSpec, evaluate
+from xtrap.metrics import MetricSpec, score_run
 from xtrap.resample import (
     KMeansConfig,
     ReSTrainConfig,
@@ -120,7 +120,7 @@ class TestC2MetricOracles:
             grades = qrels.docs("q")
             ranked = oracles.rank_docs(run.ranking("q"))
             for spec in self.SPECS:
-                report = evaluate(run, qrels, [spec])[0]
+                report = score_run(run, qrels, spec)
                 if spec.kind == "mrr":
                     want = oracles.mrr_at(ranked, grades, spec.cutoff, spec.rel_threshold)
                 elif spec.kind == "ndcg":
@@ -136,11 +136,11 @@ class TestC2MetricOracles:
     def test_c2_hand_derived_ndcg_examples(self):
         run = RunSet({"q1": [("d2", 2.0), ("d1", 1.0)]})
         qrels = QrelSet.from_records([("q1", "d1", 3), ("q1", "d2", 1)])
-        linear = evaluate(run, qrels, [MetricSpec("ndcg", 10)])[0].mean
+        linear = score_run(run, qrels, MetricSpec("ndcg", 10)).mean
         want_linear = (1.0 + 3.0 / math.log2(3)) / (3.0 + 1.0 / math.log2(3))
         assert linear == pytest.approx(want_linear, abs=1e-12)
         assert round(linear, 4) == 0.7967
-        exponential = evaluate(run, qrels, [MetricSpec("ndcg", 10, gain="exponential")])[0].mean
+        exponential = score_run(run, qrels, MetricSpec("ndcg", 10, gain="exponential")).mean
         want_exp = (1.0 + 7.0 / math.log2(3)) / (7.0 + 1.0 / math.log2(3))
         assert exponential == pytest.approx(want_exp, abs=1e-12)
         assert round(exponential, 4) == 0.7098

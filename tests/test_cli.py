@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -94,10 +95,6 @@ class TestThreads:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cli.resolve_threads(-1)
-
-    def test_global_config_validation(self):
-        with pytest.raises(ValueError):
-            cli.GlobalConfig(threads=-1)
 
 
 class TestEval:
@@ -234,6 +231,15 @@ class TestResttestAndAggregate:
                        "--runs", qrels, "--metric", "mrr@10", "-o", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_invalid_utf8_manifest_is_data_error(self, tmp_path, capsys):
+        manifest = tmp_path / "folds.txt"
+        manifest.write_bytes(b"#regime=resttest\n#k=2\n[training]\n\xff\n")
+        qrels = write(tmp_path / "qrels.txt", "q0 0 d1 1\n")
+        rc = cli.main(["aggregate", "--manifest", str(manifest), "--qrels", qrels,
+                       "--runs", qrels, qrels, "--metric", "mrr@10", "-o", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{manifest}:4: invalid UTF-8" in capsys.readouterr().err
+
 
 class TestOverlapCli:
     def test_fixture_reproduces_published_rows(self, tmp_path, capsys):
@@ -348,6 +354,31 @@ class TestPcaCli:
         for eid, bucket in folds.bucket_of.items():
             if eid in groups:
                 assert groups[eid] == f"bucket-{bucket}"
+
+    def test_huge_evec_count_is_data_error(self, tmp_path, capsys):
+        emb = tmp_path / "huge.evec"
+        emb.write_bytes(b"EVEC" + struct.pack("<IQI", 1, 2**40, 768) + bytes(64))
+        assert cli.main(["pca", "--emb", str(emb), "-o", str(tmp_path / "pca.tsv")]) == 2
+        assert f"{emb}: offset 8: count 1099511627776" in capsys.readouterr().err
+
+
+class TestOutputPath:
+    def test_symlink_output_written_through(self, tmp_path):
+        pairs = write(tmp_path / "p.tsv", "a\t1\t2\nb\t2\t3\nc\t3\t1\n")
+        real = tmp_path / "real.tsv"
+        real.write_text("old\n")
+        link = tmp_path / "link.tsv"
+        link.symlink_to(real)
+        assert cli.main(["correlate", "--pairs", pairs, "-o", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert real.read_text() == "spearman\t-0.5000\nkendall\t-0.3333\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "p.tsv", "real.tsv"]
+
+    def test_missing_output_directory_names_output(self, tmp_path, capsys):
+        pairs = write(tmp_path / "p.tsv", "a\t1\t2\nb\t2\t3\n")
+        out = tmp_path / "no-such-dir" / "corr.tsv"
+        assert cli.main(["correlate", "--pairs", pairs, "-o", str(out)]) == 2
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

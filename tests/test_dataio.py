@@ -1,17 +1,24 @@
+import ast
+import os
+import stat
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xtrap
 from xtrap.dataio import (
     EMBEDDING_MAGIC,
     DataError,
     EmbeddingSet,
     ParseError,
     QrelSet,
+    Query,
+    QuerySet,
     RunSet,
     parse_qrels,
     parse_queries,
@@ -420,3 +427,67 @@ def test_binary_reader_total(data):
             read_embeddings(f.name, format="binary")
         except ParseError:
             pass
+
+
+class TestAtomicOutput:
+    QUERIES = QuerySet([Query("q1", "hello")])
+
+    def test_failed_write_leaves_old_output(self, tmp_path):
+        out = write_text(tmp_path, "qrels.txt", "old contents\n")
+        bad = QrelSet({"q1": {"d1": 1}, "q 2": {"d2": 1}})
+        with pytest.raises(DataError):
+            write_qrels(bad, out)
+        assert out.read_bytes() == b"old contents\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_mode_matches_plain_open_and_is_kept(self, tmp_path):
+        reference = write_text(tmp_path, "reference", "")
+        out = tmp_path / "queries.tsv"
+        write_queries(self.QUERIES, out)
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+        out.chmod(0o640)
+        write_queries(self.QUERIES, out)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        # a non-blocking reader lets the writer open the FIFO without a thread
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_queries(self.QUERIES, fifo)
+            data = os.read(fd, 1024)
+        finally:
+            os.close(fd)
+        assert data == b"q1\thello\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    mode = call.args[1] if len(call.args) > 1 else None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+"))
+
+
+def test_only_atomic_output_opens_files_for_writing():
+    offenders = []
+    for path in sorted(Path(xtrap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed: set[int] = set()
+        if path.name == "dataio.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "atomic_output":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "open"
+                and _opens_for_writing(node)
+                and id(node) not in allowed
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from xtrap.dataio import QrelSet, RunSet
-from xtrap.metrics import MetricSpec, evaluate, mrr, ndcg, recall, write_metric_report
+from xtrap.metrics import MetricSpec, score_run, write_metric_report
 
 
 def run_of(docs_scores):
@@ -44,27 +44,27 @@ class TestMetricSpec:
 
 class TestMrr:
     def test_first_ranked_relevant(self):
-        report = mrr(run_of([("d1", 2.0), ("d2", 1.0)]), qrels_of({"d1": 1}), MetricSpec("mrr"))
+        report = score_run(run_of([("d1", 2.0), ("d2", 1.0)]), qrels_of({"d1": 1}), MetricSpec("mrr"))
         assert report.mean == 1.0
 
     def test_relevant_outside_cutoff_scores_zero(self):
         docs = [(f"d{i:02d}", 100.0 - i) for i in range(11)]
-        report = mrr(run_of(docs), qrels_of({"d10": 1}), MetricSpec("mrr", cutoff=10))
+        report = score_run(run_of(docs), qrels_of({"d10": 1}), MetricSpec("mrr", cutoff=10))
         assert report.mean == 0.0
 
     def test_rank_four(self):
         docs = [("d1", 4.0), ("d2", 3.0), ("d3", 2.0), ("d4", 1.0)]
-        report = mrr(run_of(docs), qrels_of({"d4": 1}), MetricSpec("mrr"))
+        report = score_run(run_of(docs), qrels_of({"d4": 1}), MetricSpec("mrr"))
         assert report.mean == 0.25
 
     def test_threshold_binarization(self):
         docs = [("d1", 2.0), ("d2", 1.0)]
         qrels = qrels_of({"d1": 1, "d2": 3})
-        assert mrr(run_of(docs), qrels, MetricSpec("mrr", rel_threshold=2)).mean == 0.5
+        assert score_run(run_of(docs), qrels, MetricSpec("mrr", rel_threshold=2)).mean == 0.5
 
     def test_query_without_qrels_is_skipped(self):
         run = RunSet({"q1": [("d1", 1.0)], "q2": [("d1", 1.0)]})
-        report = mrr(run, qrels_of({"d1": 1}), MetricSpec("mrr"))
+        report = score_run(run, qrels_of({"d1": 1}), MetricSpec("mrr"))
         assert report.skipped_ids == ["q2"]
         assert report.evaluated_count == 1
 
@@ -72,23 +72,23 @@ class TestMrr:
 class TestNdcg:
     def test_ideal_ranking_is_one(self):
         docs = [("d1", 3.0), ("d2", 2.0), ("d3", 1.0)]
-        report = ndcg(run_of(docs), qrels_of({"d1": 3, "d2": 2, "d3": 1}), MetricSpec("ndcg"))
+        report = score_run(run_of(docs), qrels_of({"d1": 3, "d2": 2, "d3": 1}), MetricSpec("ndcg"))
         assert report.mean == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_linear(self):
-        report = ndcg(run_of([("d2", 2.0), ("d1", 1.0)]), qrels_of({"d1": 3, "d2": 1}), MetricSpec("ndcg"))
+        report = score_run(run_of([("d2", 2.0), ("d1", 1.0)]), qrels_of({"d1": 3, "d2": 1}), MetricSpec("ndcg"))
         want = (1.0 + 3.0 / math.log2(3)) / (3.0 + 1.0 / math.log2(3))
         assert report.mean == pytest.approx(want, abs=1e-12)
 
     def test_hand_exponential(self):
         spec = MetricSpec("ndcg", gain="exponential")
-        report = ndcg(run_of([("d2", 2.0), ("d1", 1.0)]), qrels_of({"d1": 3, "d2": 1}), spec)
+        report = score_run(run_of([("d2", 2.0), ("d1", 1.0)]), qrels_of({"d1": 3, "d2": 1}), spec)
         want = (1.0 + 7.0 / math.log2(3)) / (7.0 + 1.0 / math.log2(3))
         assert report.mean == pytest.approx(want, abs=1e-12)
 
     def test_idcg_zero_counts_as_zero(self, caplog):
         with caplog.at_level("WARNING"):
-            report = ndcg(run_of([("d1", 1.0)]), qrels_of({"d1": 0}), MetricSpec("ndcg"))
+            report = score_run(run_of([("d1", 1.0)]), qrels_of({"d1": 0}), MetricSpec("ndcg"))
         assert report.per_query == {"q1": 0.0}
         assert report.evaluated_count == 1
         assert any("zero ideal DCG" in r.message for r in caplog.records)
@@ -97,15 +97,15 @@ class TestNdcg:
 class TestRecall:
     def test_all_inside_cutoff(self):
         docs = [("d1", 2.0), ("d2", 1.0)]
-        report = recall(run_of(docs), qrels_of({"d1": 1, "d2": 1}), MetricSpec("recall"))
+        report = score_run(run_of(docs), qrels_of({"d1": 1, "d2": 1}), MetricSpec("recall"))
         assert report.mean == 1.0
 
     def test_half_retrieved(self):
-        report = recall(run_of([("d1", 1.0)]), qrels_of({"d1": 1, "dX": 2}), MetricSpec("recall"))
+        report = score_run(run_of([("d1", 1.0)]), qrels_of({"d1": 1, "dX": 2}), MetricSpec("recall"))
         assert report.mean == 0.5
 
     def test_zero_relevant_skipped(self):
-        report = recall(run_of([("d1", 1.0)]), qrels_of({"d1": 0}), MetricSpec("recall"))
+        report = score_run(run_of([("d1", 1.0)]), qrels_of({"d1": 0}), MetricSpec("recall"))
         assert report.skipped_ids == ["q1"]
         assert report.evaluated_count == 0
         assert report.mean == 0.0
@@ -113,7 +113,7 @@ class TestRecall:
     def test_cutoff_applies(self):
         docs = [(f"d{i:03d}", 1000.0 - i) for i in range(120)]
         qrels = qrels_of({"d000": 1, "d110": 1})
-        report = recall(run_of(docs), qrels, MetricSpec("recall", cutoff=100))
+        report = score_run(run_of(docs), qrels, MetricSpec("recall", cutoff=100))
         assert report.mean == 0.5
 
 
@@ -173,24 +173,12 @@ class TestOracleEquivalence:
         for trial in range(30):
             run, qrels = random_instance(rng)
             for spec in ALL_SPECS:
-                report = evaluate(run, qrels, [spec])[0]
+                report = score_run(run, qrels, spec)
                 want_values, want_skipped = oracle_report(run, qrels, spec)
                 assert set(report.per_query) == set(want_values)
                 for qid, want in want_values.items():
                     assert report.per_query[qid] == pytest.approx(want, abs=1e-9)
                 assert sorted(report.skipped_ids) == sorted(want_skipped)
-
-    def test_batch_equals_individual(self, rng):
-        run, qrels = random_instance(rng)
-        batch = evaluate(run, qrels, ALL_SPECS[:3])
-        singles = [
-            mrr(run, qrels, ALL_SPECS[0]),
-            ndcg(run, qrels, ALL_SPECS[1]),
-            ndcg(run, qrels, ALL_SPECS[2]),
-        ]
-        for a, b in zip(batch, singles):
-            assert a.per_query == b.per_query
-            assert a.mean == b.mean
 
 
 class TestProperties:
@@ -198,13 +186,13 @@ class TestProperties:
         for _ in range(10):
             run, qrels = random_instance(rng, n_queries=5)
             for spec in ALL_SPECS:
-                report = evaluate(run, qrels, [spec])[0]
+                report = score_run(run, qrels, spec)
                 assert 0.0 <= report.mean <= 1.0
                 assert all(0.0 <= v <= 1.0 for v in report.per_query.values())
 
     def test_permutation_invariance(self, rng):
         run, qrels = random_instance(rng, n_queries=6)
-        base = [evaluate(run, qrels, [s])[0].per_query for s in ALL_SPECS]
+        base = [score_run(run, qrels, s).per_query for s in ALL_SPECS]
         for _ in range(5):
             shuffled = {}
             for qid in run.query_ids():
@@ -212,7 +200,7 @@ class TestProperties:
                 rng.shuffle(entries)
                 shuffled[qid] = entries
             other = RunSet(shuffled)
-            got = [evaluate(other, qrels, [s])[0].per_query for s in ALL_SPECS]
+            got = [score_run(other, qrels, s).per_query for s in ALL_SPECS]
             assert got == base
 
     def test_swapping_relevant_upward_never_hurts(self, rng):
@@ -233,15 +221,15 @@ class TestProperties:
             qrels = QrelSet.from_records([("q1", d, g) for d, g in grades.items()])
             before = RunSet({"q1": list(zip(order, scores))})
             after = RunSet({"q1": list(zip(swapped, scores))})
-            assert mrr(after, qrels, spec_m).mean >= mrr(before, qrels, spec_m).mean
-            assert ndcg(after, qrels, spec_n).mean >= ndcg(before, qrels, spec_n).mean
+            assert score_run(after, qrels, spec_m).mean >= score_run(before, qrels, spec_m).mean
+            assert score_run(after, qrels, spec_n).mean >= score_run(before, qrels, spec_n).mean
 
 
 class TestReportSerialization:
     def test_tsv_shape(self, tmp_path):
         run = RunSet({"q2": [("d1", 1.0)], "q1": [("d1", 1.0)]})
         qrels = QrelSet.from_records([("q1", "d1", 1), ("q2", "d2", 1)])
-        report = mrr(run, qrels, MetricSpec("mrr"))
+        report = score_run(run, qrels, MetricSpec("mrr"))
         out = tmp_path / "report.tsv"
         write_metric_report(report, out)
         lines = out.read_text().splitlines()

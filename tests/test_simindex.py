@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import xtrap
 from conftest import make_embeddings, make_queries, random_embeddings
 from xtrap.dataio import DataError, QrelSet
-from xtrap.metrics import MetricSpec
+from xtrap.metrics import MetricSpec, score_run
 from xtrap.simindex import (
+    Bm25Index,
     Bm25Params,
-    bm25_build,
     bm25_grid_search,
     bm25_search,
     knn,
@@ -175,22 +181,22 @@ class TestKnn:
 
 class TestBm25:
     def test_hand_evaluated_score(self):
-        index = bm25_build(make_queries(["d1", "d2"], ["cat", "dog"]))
+        index = Bm25Index(make_queries(["d1", "d2"], ["cat", "dog"]))
         (doc,) = bm25_search(index, "cat", 5, Bm25Params(k1=1.2, b=0.75)).neighbors
         assert doc[0] == "d1"
         assert doc[1] == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_no_match_is_empty(self):
-        index = bm25_build(make_queries(["d1", "d2"], ["cat", "dog"]))
+        index = Bm25Index(make_queries(["d1", "d2"], ["cat", "dog"]))
         assert bm25_search(index, "bird", 5).neighbors == ()
 
     def test_empty_query_is_empty(self):
-        index = bm25_build(make_queries(["d1"], ["cat"]))
+        index = Bm25Index(make_queries(["d1"], ["cat"]))
         assert bm25_search(index, "", 5).neighbors == ()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
-            bm25_build(make_queries([], []))
+            Bm25Index(make_queries([], []))
 
     def test_scores_match_formula_oracle(self, rng):
         vocab = ["cat", "dog", "fish", "bird", "tree", "car"]
@@ -198,7 +204,7 @@ class TestBm25:
         texts = [
             " ".join(rng.choice(vocab, size=rng.integers(1, 9)).tolist()) for _ in ids
         ]
-        index = bm25_build(make_queries(ids, texts))
+        index = Bm25Index(make_queries(ids, texts))
         corpus = dict(zip(ids, texts))
         for query in ["cat dog", "fish", "bird tree car", "cat cat dog"]:
             params = Bm25Params(k1=float(rng.uniform(0.5, 2.0)), b=float(rng.uniform(0, 1)))
@@ -209,7 +215,7 @@ class TestBm25:
                 assert got[d] == pytest.approx(want[d], abs=1e-9)
 
     def test_tie_breaks_by_doc_id(self):
-        index = bm25_build(make_queries(["b", "a"], ["cat", "cat"]))
+        index = Bm25Index(make_queries(["b", "a"], ["cat", "cat"]))
         result = bm25_search(index, "cat", 2)
         assert [d for d, _ in result.neighbors] == ["a", "b"]
 
@@ -221,8 +227,8 @@ class TestBm25:
             texts = ["cat " * reps + "dog", *others]
             more = ["cat " * (reps + 1) + "dog", *others]
             ids = [f"d{i}" for i in range(len(texts))]
-            base = dict(bm25_search(bm25_build(make_queries(ids, texts)), "cat", 10, params).neighbors)
-            bumped = dict(bm25_search(bm25_build(make_queries(ids, more)), "cat", 10, params).neighbors)
+            base = dict(bm25_search(Bm25Index(make_queries(ids, texts)), "cat", 10, params).neighbors)
+            bumped = dict(bm25_search(Bm25Index(make_queries(ids, more)), "cat", 10, params).neighbors)
             assert bumped["d0"] >= base["d0"]
 
     def test_params_validated(self):
@@ -253,7 +259,7 @@ class TestGridSearch:
     def test_singleton_grid(self, rng):
         docs, queries, qrels = self.make_instance(rng)
         only = Bm25Params(1.0, 0.5)
-        assert bm25_grid_search(bm25_build(docs), queries, qrels, [only], MetricSpec("mrr")) == only
+        assert bm25_grid_search(Bm25Index(docs), queries, qrels, [only], MetricSpec("mrr")) == only
 
     def test_tie_prefers_lower_k1_then_b(self):
         # one doc, one query, scores identical across params: metric constant
@@ -261,15 +267,14 @@ class TestGridSearch:
         queries = make_queries(["q1"], ["cat"])
         qrels = QrelSet.from_records([("q1", "d1", 1)])
         grid = [Bm25Params(1.5, 0.75), Bm25Params(1.2, 0.75), Bm25Params(1.2, 0.9)]
-        best = bm25_grid_search(bm25_build(docs), queries, qrels, grid, MetricSpec("mrr"))
+        best = bm25_grid_search(Bm25Index(docs), queries, qrels, grid, MetricSpec("mrr"))
         assert (best.k1, best.b) == (1.2, 0.75)
 
     def test_matches_exhaustive_oracle(self, rng):
         from xtrap.dataio import RunSet
-        from xtrap.metrics import mrr
 
         docs, queries, qrels = self.make_instance(rng)
-        index = bm25_build(docs)
+        index = Bm25Index(docs)
         spec = MetricSpec("mrr")
         grid = [Bm25Params(k1, b) for k1 in (0.8, 1.2, 1.6) for b in (0.0, 0.4, 0.8)]
         best = bm25_grid_search(index, queries, qrels, grid, spec)
@@ -282,7 +287,7 @@ class TestGridSearch:
                     for q in queries
                 }
             )
-            scored.append((mrr(run, qrels, spec).mean, params))
+            scored.append((score_run(run, qrels, spec).mean, params))
         best_mean = max(m for m, _ in scored)
         want = min((p for m, p in scored if m == best_mean), key=lambda p: (p.k1, p.b))
         assert best == want
@@ -336,7 +341,7 @@ class TestRecallCandidates:
                 (nl.query_id, nl.neighbors) for nl in knn(test_emb, train_emb, 4)
             )
         }
-        index = bm25_build(train)
+        index = Bm25Index(train)
         for qid, text in zip(test_ids, test_texts):
             lexical = [n for n, _ in bm25_search(index, text, 4).neighbors]
             assert set(pools[qid]) == set(dense[qid]) | set(lexical)
@@ -390,3 +395,32 @@ def test_knn_property_matches_oracle(vectors, k):
         test.ids, test.matrix, train.ids, train.matrix, min(k, len(vectors)), "inner_product"
     )
     assert [n for n, _ in nl.neighbors] == [n for n, _ in want[1]]
+
+
+_HASH_SEED_PROBE = """
+import sys
+from xtrap.dataio import Query, QuerySet
+from xtrap.simindex import Bm25Index, bm25_search
+
+vocab = [f"term{i}" for i in range(24)]
+docs = [Query("d0", " ".join(vocab))]
+docs += [Query(f"f{i}", " ".join(vocab[: i + 1])) for i in range(23)]
+result = bm25_search(Bm25Index(QuerySet(docs)), " ".join(reversed(vocab)), 24)
+sys.stdout.write(repr(result.neighbors))
+"""
+
+
+def test_bm25_scores_independent_of_hash_seed():
+    # a query of many distinct terms sums their float contributions; the
+    # sum must not follow the per-process string hash order
+    env = dict(os.environ)
+    src = str(Path(xtrap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in range(8):
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
