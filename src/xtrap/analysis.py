@@ -178,9 +178,13 @@ def kendall_tau_b(pairs: PairedScores) -> float:
     """Tau-b: (concordant - discordant) normalized with tie corrections."""
     x, y = _check_pairs(pairs)
     n = len(x)
-    sx = np.sign(np.subtract.outer(x, x))
-    sy = np.sign(np.subtract.outer(y, y))
-    concordant_minus_discordant = float((sx * sy).sum()) / 2.0
+    # one row of the pair matrix at a time keeps memory O(n); the sum is an
+    # integer, so the order of accumulation cannot change it
+    concordant_minus_discordant = 0.0
+    for i in range(n - 1):
+        concordant_minus_discordant += float(
+            (np.sign(x[i + 1 :] - x[i]) * np.sign(y[i + 1 :] - y[i])).sum()
+        )
     n0 = n * (n - 1) / 2.0
     denom = math.sqrt((n0 - _tie_term(x)) * (n0 - _tie_term(y)))
     if denom == 0.0:
@@ -240,14 +244,25 @@ def _column_mean(points: EmbeddingSet) -> np.ndarray:
     return total / len(points)
 
 
-def _covariance(points: EmbeddingSet) -> np.ndarray:
-    """Sample covariance (divisor n-1) accumulated in float64, chunked."""
+def _pca(points: EmbeddingSet, out_dims: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """(mean, components, eigenvalues): `pca_components` plus the column
+    mean that centred the covariance, so a projection needs no second pass."""
+    n, dim = len(points), points.dim
+    if n < 2:
+        raise DataError("PCA needs at least 2 points")
+    if out_dims < 1 or out_dims > dim:
+        raise DataError(f"out_dims must be in [1, {dim}], got {out_dims}")
+    # sample covariance (divisor n-1) accumulated in float64, chunked
     mean = _column_mean(points)
-    cov = np.zeros((points.dim, points.dim), dtype=np.float64)
+    cov = np.zeros((dim, dim), dtype=np.float64)
     for _, block in _row_chunks(points.matrix):
         block -= mean
         cov += block.T @ block
-    return cov / (len(points) - 1)
+    values, vectors = np.linalg.eigh(cov / (n - 1))
+    components = vectors[:, ::-1][:, :out_dims].T.copy()
+    peaks = np.argmax(np.abs(components), axis=1)
+    components *= np.sign(components[np.arange(out_dims), peaks])[:, None]
+    return mean, components, tuple(max(float(v), 0.0) for v in values[::-1][:out_dims])
 
 
 def pca_components(points: EmbeddingSet, out_dims: int = 2) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -257,22 +272,13 @@ def pca_components(points: EmbeddingSet, out_dims: int = 2) -> tuple[np.ndarray,
     descending order, clamped at 0). Each component's largest-magnitude
     coordinate is made positive so outputs are reproducible.
     """
-    n, dim = len(points), points.dim
-    if n < 2:
-        raise DataError("PCA needs at least 2 points")
-    if out_dims < 1 or out_dims > dim:
-        raise DataError(f"out_dims must be in [1, {dim}], got {out_dims}")
-    values, vectors = np.linalg.eigh(_covariance(points))
-    components = vectors[:, ::-1][:, :out_dims].T.copy()
-    peaks = np.argmax(np.abs(components), axis=1)
-    components *= np.sign(components[np.arange(out_dims), peaks])[:, None]
-    return components, tuple(max(float(v), 0.0) for v in values[::-1][:out_dims])
+    _, components, values = _pca(points, out_dims)
+    return components, values
 
 
 def pca_project(points: EmbeddingSet, out_dims: int = 2) -> dict[str, np.ndarray]:
     """Project every embedding onto the top principal axes; id -> coordinates."""
-    components, _ = pca_components(points, out_dims=out_dims)
-    mean = _column_mean(points)
+    mean, components, _ = _pca(points, out_dims)
     out: dict[str, np.ndarray] = {}
     for lo, block in _row_chunks(points.matrix):
         block -= mean

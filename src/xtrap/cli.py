@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from . import analysis, dataio, metrics, resample, simindex
@@ -21,24 +20,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 DEFAULT_SEED = 42
-
-
-def resolve_threads(flag: int | None) -> int:
-    """Worker thread count; precedence: --threads flag, XTRAP_THREADS, auto."""
-    if flag is not None:
-        value = flag
-    else:
-        env = os.environ.get("XTRAP_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(f"XTRAP_THREADS must be an integer, got {env!r}") from None
-        else:
-            value = 0
-    if value < 0:
-        raise ValueError("thread count must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,12 +39,6 @@ def _read_embeddings(path, format: str) -> dataio.EmbeddingSet:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", required=True, help="output file path")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (0 = auto; XTRAP_THREADS overrides the default)",
-    )
     parser.add_argument("-v", "--verbose", action="count", default=0, help="more logging")
     parser.add_argument("-q", "--quiet", action="store_true", help="errors only")
 
@@ -80,9 +55,7 @@ def _add_emb_format(parser: argparse.ArgumentParser) -> None:
 def cmd_knn(args) -> int:
     test = _read_embeddings(args.test_emb, args.emb_format)
     train = _read_embeddings(args.train_emb, args.emb_format)
-    lists = simindex.knn(
-        test, train, args.k, measure=args.measure, threads=args.threads
-    )
+    lists = simindex.knn(test, train, args.k, measure=args.measure)
     simindex.write_neighbor_lists(lists, args.output)
     print(f"wrote top-{args.k} neighbors for {len(lists)} queries to {args.output}")
     return EXIT_OK
@@ -100,7 +73,6 @@ def cmd_candidates(args) -> int:
         train_emb,
         per_channel=args.per_channel,
         measure=args.measure,
-        threads=args.threads,
     )
     simindex.write_candidate_pools(pools, args.output)
     total = sum(len(p) for p in pools.values())
@@ -128,9 +100,9 @@ def cmd_restrain(args) -> int:
     train_emb = _read_embeddings(args.train_emb, args.emb_format)
     test_emb = _read_embeddings(args.test_emb, args.emb_format)
     if args.regime == "inter":
-        split = resample.restrain_interpolation(train, test, train_emb, test_emb, cfg, threads=args.threads)
+        split = resample.restrain_interpolation(train, test, train_emb, test_emb, cfg)
     else:
-        split = resample.restrain_extrapolation(train, test, train_emb, test_emb, cfg, threads=args.threads)
+        split = resample.restrain_extrapolation(train, test, train_emb, test_emb, cfg)
     resample.write_manifest(split, args.output)
     print(
         f"{split.regime} split: {len(split.training_ids)} training / "
@@ -382,7 +354,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _configure_logging(args)
     try:
-        args.threads = resolve_threads(args.threads)
         return args.func(args)
     except (dataio.ParseError, dataio.DataError) as e:
         sys.stderr.write(f"xtrap: data error: {e}\n")

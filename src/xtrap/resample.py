@@ -291,7 +291,6 @@ def restrain_interpolation(
     train_emb: EmbeddingSet,
     test_emb: EmbeddingSet,
     cfg: ReSTrainConfig,
-    threads: int = 1,
 ) -> SplitSpec:
     """Training set = nearest training queries of the test set, exactly target_size.
 
@@ -310,7 +309,7 @@ def restrain_interpolation(
     te = test_emb.subset(test.ids)
     depth = min(n_train, max(cfg.include_depth, math.ceil(cfg.target_size / len(test))))
     while True:
-        lists = knn(te, tr, depth, measure=cfg.measure, threads=threads)
+        lists = knn(te, tr, depth, measure=cfg.measure)
         seq = _round_robin_union(lists)
         if len(seq) >= cfg.target_size:
             break
@@ -333,7 +332,6 @@ def restrain_extrapolation(
     train_emb: EmbeddingSet,
     test_emb: EmbeddingSet,
     cfg: ReSTrainConfig,
-    threads: int = 1,
 ) -> SplitSpec:
     """Training set sampled from queries outside every test query's neighborhood."""
     if len(test) == 0:
@@ -341,7 +339,7 @@ def restrain_extrapolation(
     tr = train_emb.subset(train.ids)
     te = test_emb.subset(test.ids)
     depth = min(cfg.exclude_depth, len(train))
-    lists = knn(te, tr, depth, measure=cfg.measure, threads=threads)
+    lists = knn(te, tr, depth, measure=cfg.measure)
     excluded = {nid for nl in lists for nid, _ in nl.neighbors}
     remaining = [qid for qid in train.ids if qid not in excluded]
     if len(remaining) < cfg.target_size:

@@ -4,8 +4,9 @@ Both channels rank training queries for each test query. The dense
 channel is an exhaustive scan over the training matrix (no approximate
 index): scores are computed in float64 block by block, and ties are
 broken by ascending neighbor id, so results are exactly reproducible and
-independent of block size or thread count. The lexical channel is a
-small in-memory inverted index over the training query texts.
+independent of block size. The lexical channel is a small in-memory
+inverted index over the training query texts. Both channels select
+their top k with one primitive, `_top_k`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,20 +66,38 @@ def _normalized_rows(matrix: np.ndarray, ids, what: str) -> np.ndarray:
     return matrix / norms[:, None]
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k largest scores in each row, in ascending
+    column order; ties at the k-th value go to the lower columns.
+
+    A row narrower than k keeps every column.
+    """
+    n_rows, width = scores.shape
+    if width <= k:
+        return np.tile(np.arange(width), (n_rows, 1))
+    # copy the k-th column out so the partitioned copy can be freed
+    kth = np.partition(scores, width - k, axis=1)[:, width - k].copy()
+    rows, cols = np.nonzero(scores >= kth[:, None])
+    if rows.size > n_rows * k:
+        # some row ties at its k-th value across the cut: keep everything
+        # above it, then the lowest-column ties up to k entries
+        tied = scores[rows, cols] == kth[rows]
+        above = np.bincount(rows[~tied], minlength=n_rows)
+        ties = np.bincount(rows[tied], minlength=n_rows)
+        tie_rank = np.cumsum(tied) - 1 - (np.cumsum(ties) - ties)[rows]
+        cols = cols[~tied | (tie_rank < (k - above)[rows])]
+    return cols.reshape(n_rows, k)
+
+
 def knn(
     test: EmbeddingSet,
     train: EmbeddingSet,
     k: int,
     measure: str = "inner_product",
-    exclude_self: bool = False,
-    threads: int = 1,
 ) -> list[NeighborList]:
     """Exact top-k training neighbors for every test query.
 
-    Scores descend; ties break by ascending neighbor id. With
-    `exclude_self`, a training vector sharing the test query's id is
-    skipped. `threads` only splits the work; results are identical to a
-    sequential run.
+    Scores descend; ties break by ascending neighbor id.
     """
     _check_measure(measure)
     if k < 1:
@@ -107,74 +125,32 @@ def knn(
         if zero.size:
             raise DataError(f"cosine requires nonzero vectors; train id {train.ids[zero[0]]} is zero")
 
-    self_pos = None
-    if exclude_self:
-        pos_of = {eid: p for p, eid in enumerate(sorted_ids)}
-        self_pos = [pos_of.get(qid, -1) for qid in test.ids]
-
     n_test = len(test)
     block = max(_KNN_BLOCK_MIN_ROWS, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
-    cand_pos: list[np.ndarray] = [np.empty(0, dtype=np.int64) for _ in range(n_test)]
-    cand_scores: list[np.ndarray] = [np.empty(0, dtype=np.float64) for _ in range(n_test)]
-
-    def scan_chunk(row_lo: int, row_hi: int, train_block: np.ndarray, base: int) -> None:
-        scores = queries[row_lo:row_hi] @ train_block.T
-        if self_pos is not None:
-            for r in range(row_lo, row_hi):
-                p = self_pos[r]
-                if base <= p < base + train_block.shape[0]:
-                    scores[r - row_lo, p - base] = -np.inf
-        width = scores.shape[1]
-        if width > k:
-            kth = np.partition(scores, width - k, axis=1)[:, width - k]
-            mask = scores >= kth[:, None]
-        else:
-            mask = np.ones_like(scores, dtype=bool)
-        if self_pos is not None:
-            mask &= scores != -np.inf
-        rows, cols = np.nonzero(mask)
-        starts = np.searchsorted(rows, np.arange(row_hi - row_lo + 1))
-        for r in range(row_hi - row_lo):
-            new_cols = cols[starts[r] : starts[r + 1]]
-            if new_cols.size == 0:
-                continue
-            i = row_lo + r
-            # concatenation stays ascending in position: old candidates come
-            # from earlier blocks, new_cols are ascending within this block
-            pos = np.concatenate([cand_pos[i], new_cols + base])
-            sc = np.concatenate([cand_scores[i], scores[r, new_cols]])
-            if pos.size > k:
-                keep = np.argsort(-sc, kind="stable")[:k]
-                keep.sort()
-                pos, sc = pos[keep], sc[keep]
-            cand_pos[i], cand_scores[i] = pos, sc
-
-    n_workers = max(1, threads)
-    chunk_bounds = [
-        (lo, min(n_test, lo + math.ceil(n_test / n_workers)))
-        for lo in range(0, n_test, max(1, math.ceil(n_test / n_workers)))
-    ]
+    # running best per test query, columns in ascending position; stacking
+    # a later block's picks to the right keeps that order, so the tie rule
+    # of _top_k is the ascending-id rule
+    best_pos = np.empty((n_test, 0), dtype=np.intp)
+    best_scores = np.empty((n_test, 0), dtype=np.float64)
     for base in range(0, n_train, block):
-        rows = order[base : base + block]
-        train_block = train.matrix[rows].astype(np.float64)
+        train_block = train.matrix[order[base : base + block]].astype(np.float64)
         if measure == "cosine":
             train_block /= np.linalg.norm(train_block, axis=1)[:, None]
-        if n_workers == 1 or n_test < 2:
-            scan_chunk(0, n_test, train_block, base)
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                futures = [pool.submit(scan_chunk, lo, hi, train_block, base) for lo, hi in chunk_bounds]
-                for fut in futures:
-                    fut.result()
+        scores = queries @ train_block.T
+        picks = _top_k(scores, k)
+        pos = np.hstack([best_pos, picks + base])
+        merged = np.hstack([best_scores, np.take_along_axis(scores, picks, axis=1)])
+        keep = _top_k(merged, k)
+        best_pos = np.take_along_axis(pos, keep, axis=1)
+        best_scores = np.take_along_axis(merged, keep, axis=1)
 
-    results = []
-    for i, qid in enumerate(test.ids):
-        final = np.argsort(-cand_scores[i], kind="stable")[:k]
-        neighbors = tuple(
-            (sorted_ids[int(cand_pos[i][j])], float(cand_scores[i][j])) for j in final
-        )
-        results.append(NeighborList(query_id=qid, neighbors=neighbors))
-    return results
+    ranked = np.argsort(-best_scores, axis=1, kind="stable")
+    pos_rows = np.take_along_axis(best_pos, ranked, axis=1).tolist()
+    score_rows = np.take_along_axis(best_scores, ranked, axis=1).tolist()
+    return [
+        NeighborList(query_id=qid, neighbors=tuple((sorted_ids[p], s) for p, s in zip(ps, ss)))
+        for qid, ps, ss in zip(test.ids, pos_rows, score_rows)
+    ]
 
 
 def tokenize(text: str) -> list[str]:
@@ -188,12 +164,13 @@ class Bm25Index:
     def __init__(self, docs: QuerySet):
         if len(docs) == 0:
             raise DataError("cannot build a BM25 index over an empty query set")
-        self.doc_ids = docs.ids
+        # ordinals follow ascending doc id, so a lower ordinal is a lower id
+        self.doc_ids = tuple(sorted(docs.ids))
         self.n = len(docs)
         lens = np.zeros(self.n, dtype=np.float64)
         postings: dict[str, tuple[list[int], list[int]]] = {}
-        for ordinal, query in enumerate(docs):
-            terms = tokenize(query.text)
+        for ordinal, doc_id in enumerate(self.doc_ids):
+            terms = tokenize(docs.text(doc_id))
             lens[ordinal] = len(terms)
             counts: dict[str, int] = {}
             for t in terms:
@@ -239,15 +216,11 @@ def bm25_search(
         norm = params.k1 * (1.0 - params.b + params.b * index.len_ratio[ordinals])
         scores[ordinals] += idf * tfs * (params.k1 + 1.0) / (tfs + norm)
     matched = np.flatnonzero(scores > 0.0)
-    if matched.size == 0:
-        return NeighborList(query_id=query_id, neighbors=())
-    if matched.size > k:
-        kth = np.partition(scores[matched], matched.size - k)[matched.size - k]
-        matched = matched[scores[matched] >= kth]
-    ranked = sorted(matched, key=lambda o: (-scores[o], index.doc_ids[o]))[:k]
+    top = matched[_top_k(scores[None, matched], k)[0]]
+    top = top[np.argsort(-scores[top], kind="stable")]
     return NeighborList(
         query_id=query_id,
-        neighbors=tuple((index.doc_ids[o], float(scores[o])) for o in ranked),
+        neighbors=tuple((index.doc_ids[o], float(scores[o])) for o in top),
     )
 
 
@@ -280,7 +253,6 @@ def recall_candidates(
     per_channel: int = 10,
     measure: str = "inner_product",
     params: Bm25Params = Bm25Params(),
-    threads: int = 1,
 ) -> dict[str, list[str]]:
     """Annotation candidate pool per test query: embedding channel first,
     then unseen BM25 entries; at most 2 * per_channel ids."""
@@ -288,7 +260,7 @@ def recall_candidates(
         raise ValueError("per_channel must be >= 1")
     te = test_emb.subset(test.ids)
     tr = train_emb.subset(train.ids)
-    dense = knn(te, tr, per_channel, measure=measure, threads=threads)
+    dense = knn(te, tr, per_channel, measure=measure)
     index = Bm25Index(train)
     pools: dict[str, list[str]] = {}
     for query, dense_list in zip(test, dense):

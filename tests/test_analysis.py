@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,20 @@ class TestKendall:
             assert kendall_tau_b(pairs) == pytest.approx(
                 oracles.kendall_brute(xs, ys), abs=1e-12
             )
+
+    def test_memory_is_linear_in_pairs(self, rng):
+        # an n x n pair matrix at 5k pairs would take 200 MB per copy
+        xs = rng.integers(0, 50, size=5000)
+        ys = xs + rng.integers(0, 50, size=5000)
+        pairs = [(f"m{i}", float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
+        tracemalloc.start()
+        try:
+            tau = kendall_tau_b(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert 0.0 < tau < 1.0
 
     def test_monotone_transform_invariance(self, rng):
         xs = rng.normal(size=15)

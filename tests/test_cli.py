@@ -60,41 +60,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for flag in ("--regime", "--train-queries", "--test-queries", "--train-emb",
                      "--test-emb", "-I", "-E", "--size", "--seed", "--measure",
-                     "--emb-format", "-o", "--threads", "-v", "-q"):
+                     "--emb-format", "-o", "-v", "-q"):
             assert flag in out
 
 
-class TestThreads:
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("XTRAP_THREADS", "7")
-        assert cli.resolve_threads(3) == 3
-
-    def test_env_beats_auto(self, monkeypatch):
-        monkeypatch.setenv("XTRAP_THREADS", "7")
-        assert cli.resolve_threads(None) == 7
-
-    def test_auto_when_unset(self, monkeypatch):
-        monkeypatch.delenv("XTRAP_THREADS", raising=False)
-        assert cli.resolve_threads(None) >= 1
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("XTRAP_THREADS", "0")
-        assert cli.resolve_threads(None) >= 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("XTRAP_THREADS", "lots")
-        with pytest.raises(ValueError):
-            cli.resolve_threads(None)
-
-    def test_bad_env_is_usage_error_end_to_end(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("XTRAP_THREADS", "lots")
-        pairs = write(tmp_path / "p.tsv", "a\t1\t2\nb\t2\t3\n")
-        rc = cli.main(["correlate", "--pairs", pairs, "-o", str(tmp_path / "o")])
-        assert rc == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            cli.resolve_threads(-1)
+def test_threads_flag_is_usage_error(tmp_path):
+    test = emb_file(tmp_path, "test.evec", ["q"], [[1.0, 0.0]])
+    train = emb_file(tmp_path, "train.evec", ["a"], [[1.0, 0.0]])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["knn", "--test-emb", test, "--train-emb", train, "-k", "1",
+                  "-o", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 1
 
 
 class TestEval:

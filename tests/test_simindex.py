@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from xtrap.metrics import MetricSpec, score_run
 from xtrap.simindex import (
     Bm25Index,
     Bm25Params,
+    _top_k,
     bm25_grid_search,
     bm25_search,
     knn,
@@ -74,12 +76,6 @@ class TestKnn:
         (nl,) = knn(test, train, 3)
         assert [n for n, _ in nl.neighbors] == ["a", "b", "c"]
 
-    def test_exclude_self(self):
-        train = make_embeddings(["q", "a"], [[1, 0], [0.9, 0]])
-        test = make_embeddings(["q"], [[1, 0]])
-        (nl,) = knn(test, train, 2, exclude_self=True)
-        assert [n for n, _ in nl.neighbors] == ["a"]
-
     @pytest.mark.parametrize("measure", ["inner_product", "cosine"])
     def test_matches_all_pairs_oracle(self, rng, measure):
         for trial in range(25):
@@ -126,31 +122,6 @@ class TestKnn:
             for nl, (_, expected) in zip(got, want):
                 assert [n for n, _ in nl.neighbors] == [n for n, _ in expected]
                 assert [s for _, s in nl.neighbors] == [s for _, s in expected]
-
-    def test_threads_with_many_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 16)
-        train = random_embeddings(rng, "t", 90, 4)
-        test = make_embeddings([f"q{i}" for i in range(8)], rng.normal(size=(8, 4)))
-        assert knn(test, train, 12) == knn(test, train, 12, threads=3)
-
-    def test_exclude_self_across_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 5)
-        ids = [f"x{i:02d}" for i in range(30)]
-        emb = random_embeddings(rng, "x", 30, 3)
-        emb = make_embeddings(ids, emb.matrix)
-        results = knn(emb, emb, 30, exclude_self=True)
-        for nl in results:
-            assert nl.query_id not in [n for n, _ in nl.neighbors]
-            assert len(nl.neighbors) == 29
-
-    def test_threads_do_not_change_results(self, rng):
-        train = random_embeddings(rng, "t", 150, 6)
-        test = random_embeddings(rng, "q", 64, 6)
-        sequential = knn(test, train, 10)
-        threaded = knn(test, train, 10, threads=3)
-        assert sequential == threaded
 
     def test_scaling_train_by_power_of_two_is_exact(self, rng):
         train = random_embeddings(rng, "t", 40, 5)
@@ -216,6 +187,10 @@ class TestBm25:
 
     def test_tie_breaks_by_doc_id(self):
         index = Bm25Index(make_queries(["b", "a"], ["cat", "cat"]))
+        result = bm25_search(index, "cat", 2)
+        assert [d for d, _ in result.neighbors] == ["a", "b"]
+        # the tie crosses the cut, and file order is not id order
+        index = Bm25Index(make_queries(["c", "b", "a"], ["cat", "cat", "cat"]))
         result = bm25_search(index, "cat", 2)
         assert [d for d, _ in result.neighbors] == ["a", "b"]
 
@@ -395,6 +370,56 @@ def test_knn_property_matches_oracle(vectors, k):
         test.ids, test.matrix, train.ids, train.matrix, min(k, len(vectors)), "inner_product"
     )
     assert [n for n, _ in nl.neighbors] == [n for n, _ in want[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.integers(0, 12),
+    st.integers(1, 8),
+    st.data(),
+)
+def test_top_k_matches_lexsort_oracle(n_rows, width, k, data):
+    # values from a small range force many ties, also across the cut
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=n_rows * width, max_size=n_rows * width))
+    scores = np.asarray(values, dtype=np.float64).reshape(n_rows, width)
+    got = _top_k(scores, k)
+    assert got.shape == (n_rows, min(k, width))
+    for row, picked in zip(scores, got):
+        # best first: score descending, then column ascending
+        want = np.lexsort((np.arange(width), -row))[:k]
+        assert picked.tolist() == sorted(want.tolist())
+
+
+def test_only_top_k_partitions():
+    # every k-selection goes through simindex._top_k; str.partition(sep)
+    # calls (one string literal argument) are not selections
+    offenders = []
+    for path in sorted(Path(xtrap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed: set[int] = set()
+        if path.name == "simindex.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_top_k":
+                    allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in ("partition", "argpartition"):
+                continue
+            str_method = (
+                isinstance(func, ast.Attribute)
+                and name == "partition"
+                and len(node.args) == 1
+                and not node.keywords
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            )
+            if not str_method:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 _HASH_SEED_PROBE = """
