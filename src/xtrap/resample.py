@@ -219,7 +219,8 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
 
     Stops on an assignment fixpoint, when no centroid moves more than
     `tol` (L2), or after `max_iters`. The recorded inertia history is
-    checked to be non-increasing every iteration.
+    checked to be non-increasing every iteration; an increase raises
+    DataError.
     """
     n = len(points)
     if cfg.k > n:
@@ -247,7 +248,7 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
         d2min = d2[np.arange(n), new_assignment]
         inertia = float(d2min.sum())
         if inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
-            raise RuntimeError(
+            raise DataError(
                 f"k-means inertia increased at iteration {iterations}: "
                 f"{history[-1]!r} -> {inertia!r}"
             )

@@ -2,11 +2,20 @@
 
 Both channels rank training queries for each test query. The dense
 channel is an exhaustive scan over the training matrix (no approximate
-index): scores are computed in float64 block by block, and ties are
-broken by ascending neighbor id, so results are exactly reproducible and
-independent of block size. The lexical channel is a small in-memory
-inverted index over the training query texts. Both channels select
-their top k with one primitive, `_top_k`.
+index). Each block of training rows is screened with one float32 GEMM
+against the stored float32 matrix. A column survives when its float32
+score lies within a certified rounding bound (Higham's inner-product
+bound for the float32 and the float64 dot product) of a lower bound on
+the k-th best float64 score, so no column of the exact top k is dropped.
+Only the survivors are rescored in float64, one dot product per pair,
+and ties are broken by ascending neighbor id. Every score is therefore
+the float64 dot product of the two vectors (of the unit vectors for
+cosine), whatever the block size or the order of the training rows; a
+float64 GEMM cannot promise that, because BLAS rounds an entry of
+`Q @ T[cols].T` differently from the same entry of `Q @ T.T`. The
+lexical channel is a small in-memory inverted index over the training
+query texts. Both channels select their top k with one primitive,
+`_top_k`.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ MEASURES = ("inner_product", "cosine")
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
-# rows per score block in the kNN scan; keeps the block score matrix and
-# the float64 cast of the training block within a few hundred MB
+# rows per float32 score block in the kNN scan: the block's scores and the
+# partition copy inside _top_k peak at 8 bytes per element (256 MiB here)
 _KNN_BLOCK_ELEMENTS = 32 * 1024 * 1024
 _KNN_BLOCK_MIN_ROWS = 1024
 
@@ -59,11 +68,20 @@ def _check_measure(measure: str) -> None:
 
 
 def _normalized_rows(matrix: np.ndarray, ids, what: str) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
+    # the norm is the same per-vector dot product that scores a pair
+    norms = np.sqrt(np.vecdot(matrix, matrix))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DataError(f"cosine requires nonzero vectors; {what} id {ids[zero[0]]} is zero")
     return matrix / norms[:, None]
+
+
+def _float32_floor(values: np.ndarray) -> np.ndarray:
+    """The largest float32 at or below each float64 value."""
+    out = values.astype(np.float32)
+    above = out > values
+    out[above] = np.nextafter(out[above], np.float32(-np.inf))
+    return out
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -97,7 +115,9 @@ def knn(
 ) -> list[NeighborList]:
     """Exact top-k training neighbors for every test query.
 
-    Scores descend; ties break by ascending neighbor id.
+    A score is the float64 dot product of the two vectors, or of the two
+    unit vectors for cosine. Scores descend; ties break by ascending
+    neighbor id.
     """
     _check_measure(measure)
     if k < 1:
@@ -111,46 +131,93 @@ def knn(
         logger.warning("k=%d exceeds training set size %d; returning all neighbors", k, n_train)
         k = n_train
 
-    # process training rows in ascending-id order so positional order == id order
-    order = sorted(range(n_train), key=train.ids.__getitem__)
-    sorted_ids = [train.ids[i] for i in order]
-    order = np.asarray(order, dtype=np.intp)
+    # rank of each training row in ascending id order; it only breaks ties
+    id_rank = np.empty(n_train, dtype=np.intp)
+    id_rank[sorted(range(n_train), key=train.ids.__getitem__)] = np.arange(n_train)
+    n_test, dim = test.matrix.shape
+    cosine = measure == "cosine"
 
     queries = test.matrix.astype(np.float64)
-    if measure == "cosine":
+    train_norms = np.sqrt(np.einsum("ij,ij->i", train.matrix, train.matrix, dtype=np.float64))
+    if cosine:
         queries = _normalized_rows(queries, test.ids, "test")
-        # validate train norms without materializing a float64 copy
-        sq = np.einsum("ij,ij->i", train.matrix, train.matrix, dtype=np.float64)
-        zero = np.flatnonzero(sq == 0.0)
+        zero = np.flatnonzero(train_norms == 0.0)
         if zero.size:
             raise DataError(f"cosine requires nonzero vectors; train id {train.ids[zero[0]]} is zero")
+        query_norms = np.ones(n_test)
+        inv_norms = 1.0 / train_norms
+        # a clamped factor only occurs in a block whose bound is infinite
+        inv_norms32 = np.minimum(inv_norms, 2.0**100).astype(np.float32)
+    else:
+        query_norms = np.sqrt(np.vecdot(queries, queries))
+    # an exact power-of-two scale keeps float32 scores far from overflow
+    peak = float(query_norms.max(initial=0.0) * train_norms.max())
+    scale = 2.0 ** -max(0, math.ceil(math.log2(peak)) - 100) if peak > 0.0 else 1.0
+    screen = (queries * scale).astype(np.float32)
+    # Higham's bound: |float32 score - scale * float64 score| is at most
+    # row_bound * max|t| + tiny * (1 + max|t|) over a block for inner product,
+    # and row_bound + tiny * (1 + max 1/|t|) for cosine. gamma sums gamma_m of
+    # both precisions, m = dim + 3 counting the casts and the 1/|t| product;
+    # 2^-20 widens it past the float64 arithmetic of the bound itself, and
+    # tiny covers float32 underflow.
+    m = dim + 3
+    gamma = sum(m * u / (1.0 - m * u) if m * u < 0.5 else math.inf for u in (2.0**-24, 2.0**-53))
+    row_bound = gamma * (1.0 + 2.0**-20) * scale * query_norms
+    tiny = dim * 2.0**-149
 
-    n_test = len(test)
     block = max(_KNN_BLOCK_MIN_ROWS, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
-    # running best per test query, columns in ascending position; stacking
-    # a later block's picks to the right keeps that order, so the tie rule
-    # of _top_k is the ascending-id rule
-    best_pos = np.empty((n_test, 0), dtype=np.intp)
-    best_scores = np.empty((n_test, 0), dtype=np.float64)
+    # per test query: the k largest lower bounds on float64 scores seen so
+    # far, whose minimum `floor` bounds the final k-th score from below
+    best_low = np.empty((n_test, 0), dtype=np.float64)
+    floor = np.full(n_test, -np.inf)
+    found_rows, found_cols, found_high = [], [], []
     for base in range(0, n_train, block):
-        train_block = train.matrix[order[base : base + block]].astype(np.float64)
-        if measure == "cosine":
-            train_block /= np.linalg.norm(train_block, axis=1)[:, None]
-        scores = queries @ train_block.T
-        picks = _top_k(scores, k)
-        pos = np.hstack([best_pos, picks + base])
-        merged = np.hstack([best_scores, np.take_along_axis(scores, picks, axis=1)])
-        keep = _top_k(merged, k)
-        best_pos = np.take_along_axis(pos, keep, axis=1)
-        best_scores = np.take_along_axis(merged, keep, axis=1)
+        stop = min(n_train, base + block)
+        scores = screen @ train.matrix[base:stop].T
+        if cosine:
+            scores *= inv_norms32[base:stop]
+            col_max = float(inv_norms[base:stop].max())
+            err = row_bound + tiny * (1.0 + col_max)
+            if col_max > 2.0**100:
+                err = np.full(n_test, np.inf)
+        else:
+            col_max = float(train_norms[base:stop].max())
+            err = row_bound * col_max + tiny * (1.0 + col_max)
+        picks = np.take_along_axis(scores, _top_k(scores, k), axis=1)
+        low = np.hstack([best_low, picks - err[:, None]])
+        best_low = np.take_along_axis(low, _top_k(low, k), axis=1)
+        if best_low.shape[1] == k:
+            floor = best_low.min(axis=1)
+        rows, cols = np.nonzero(scores >= _float32_floor(floor - err)[:, None])
+        found_rows.append(rows)
+        found_cols.append(cols + base)
+        found_high.append(scores[rows, cols] + err[rows])
+        del scores  # before the next GEMM allocates its block
 
-    ranked = np.argsort(-best_scores, axis=1, kind="stable")
-    pos_rows = np.take_along_axis(best_pos, ranked, axis=1).tolist()
-    score_rows = np.take_along_axis(best_scores, ranked, axis=1).tolist()
-    return [
-        NeighborList(query_id=qid, neighbors=tuple((sorted_ids[p], s) for p, s in zip(ps, ss)))
-        for qid, ps, ss in zip(test.ids, pos_rows, score_rows)
-    ]
+    # prune once more against the final floor, then group by test query
+    rows = np.concatenate(found_rows)
+    keep = np.concatenate(found_high) >= floor[rows]
+    rows = rows[keep]
+    cols = np.concatenate(found_cols)[keep]
+    by_row = np.argsort(rows, kind="stable")
+    groups = np.split(cols[by_row], np.cumsum(np.bincount(rows, minlength=n_test))[:-1])
+    logger.info(
+        "knn: %d pairs screened in float32, %d survivors rescored in float64 (%.3f x n_test*k)",
+        n_test * n_train, rows.size, rows.size / max(1, n_test * k),
+    )
+
+    lists = []
+    train_ids = train.ids
+    for qid, query, cand in zip(test.ids, queries, groups):
+        vecs = train.matrix[cand].astype(np.float64)
+        if cosine:
+            vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
+        # one dot product per pair: a gemv rounds a row by its batch position
+        exact = np.vecdot(vecs, query)
+        top = np.lexsort((id_rank[cand], -exact))[:k]
+        ids = [train_ids[c] for c in cand[top].tolist()]
+        lists.append(NeighborList(query_id=qid, neighbors=tuple(zip(ids, exact[top].tolist()))))
+    return lists
 
 
 def tokenize(text: str) -> list[str]:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, make_embeddings
-from xtrap import cli
+from xtrap import cli, resample
 from xtrap.dataio import write_embeddings, write_run, RunSet
 from xtrap.resample import read_manifest
 
@@ -215,6 +215,26 @@ class TestResttestAndAggregate:
                        "--runs", qrels, qrels, "--metric", "mrr@10", "-o", str(tmp_path / "o")])
         assert rc == 2
         assert f"{manifest}:4: invalid UTF-8" in capsys.readouterr().err
+
+    def test_kmeans_inertia_increase_is_data_error(self, tmp_path, rng, monkeypatch, capsys):
+        # each distance computation returns ten times larger distances than the last
+        real = resample._sq_distances
+        calls = []
+
+        def growing(X, centroids):
+            calls.append(None)
+            return real(X, centroids) * 10.0 ** len(calls)
+
+        monkeypatch.setattr(resample, "_sq_distances", growing)
+        files = restrain_inputs(tmp_path, rng, n_train=30, n_test=6)
+        rc = cli.main(["resttest",
+                       "--train-queries", files["train_q"], "--test-queries", files["test_q"],
+                       "--train-emb", files["train_e"], "--test-emb", files["test_e"],
+                       "-k", "3", "--seed", "5", "-o", str(tmp_path / "folds.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error: k-means inertia increased at iteration 1" in err
+        assert "Traceback" not in err
 
 
 class TestOverlapCli:

@@ -2,12 +2,14 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 import xtrap
@@ -15,6 +17,7 @@ from conftest import make_embeddings, make_queries, random_embeddings
 from xtrap.dataio import DataError, QrelSet
 from xtrap.metrics import MetricSpec, score_run
 from xtrap.simindex import (
+    MEASURES,
     Bm25Index,
     Bm25Params,
     _top_k,
@@ -122,6 +125,58 @@ class TestKnn:
             for nl, (_, expected) in zip(got, want):
                 assert [n for n, _ in nl.neighbors] == [n for n, _ in expected]
                 assert [s for _, s in nl.neighbors] == [s for _, s in expected]
+
+    def test_float32_tie_is_separated_in_float64(self):
+        # q.t_b = 1 + 2^-24 rounds to 1 = q.t_a in float32; only the float64
+        # rescore puts t_b, the larger id, first
+        train = make_embeddings(["a", "b"], [[1, 0], [1, 2.0**-12]])
+        test = make_embeddings(["q"], [[1, 2.0**-12]])
+        (nl,) = knn(test, train, 1)
+        assert nl.neighbors == (("b", 1.0 + 2.0**-24),)
+
+    @pytest.mark.parametrize("measure", ["inner_product", "cosine"])
+    def test_extreme_magnitudes_match_oracle(self, measure):
+        # unscaled float32 products of the big query overflow (inf - inf is
+        # NaN for the first row), and 1/|t| of the subnormal rows overflows
+        # float32
+        rows = [[1e38, -1e38], [1e38, 1e38], [-1e38, -1e38], [1, 0], [0, -1],
+                [3e-45, 0], [1e-42, 1e-42], [1, 1]]
+        train = make_embeddings([f"t{i}" for i in range(len(rows))], rows)
+        test = make_embeddings(["big", "one", "tiny"], [[1e37, 1e37], [1, 2], [1e-40, -3e-41]])
+        for k in range(1, len(rows) + 1):
+            got = knn(test, train, k, measure=measure)
+            want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
+            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
+
+    def test_empty_test_set(self):
+        train = make_embeddings(["a"], [[1, 0]])
+        test = make_embeddings([], np.zeros((0, 2)))
+        assert knn(test, train, 1) == knn(test, train, 1, measure="cosine") == []
+
+    def test_memory_is_bounded(self, rng, monkeypatch):
+        # four blocks of 10k training rows; a float64 score block and its
+        # partition copy alone would take 4 float32 blocks
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 2_000_000)
+        train = random_embeddings(rng, "t", 40_000, 32)
+        test = random_embeddings(rng, "q", 200, 32)
+        score_block = 200 * 10_000 * 4
+        tracemalloc.start()
+        try:
+            lists = knn(test, train, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * score_block + test.matrix.size * 8
+        assert all(len(nl.neighbors) == 10 for nl in lists)
+
+    def test_logs_screen_counts(self, caplog):
+        train = make_embeddings(["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
+        test = make_embeddings(["q"], [[1, 0]])
+        with caplog.at_level("INFO", logger="xtrap.simindex"):
+            knn(test, train, 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "knn: 3 pairs screened in float32, 2 survivors rescored in float64 (1.000 x n_test*k)"
+        ]
 
     def test_scaling_train_by_power_of_two_is_exact(self, rng):
         train = random_embeddings(rng, "t", 40, 5)
@@ -370,6 +425,34 @@ def test_knn_property_matches_oracle(vectors, k):
         test.ids, test.matrix, train.ids, train.matrix, min(k, len(vectors)), "inner_product"
     )
     assert [n for n, _ in nl.neighbors] == [n for n, _ in want[1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 800), st.integers(1, 10), st.data())
+def test_knn_screen_matches_oracle_exactly(dim, n_base, data):
+    # parallel rows (t, 3t) tie up to the last bit under cosine, and the
+    # 2^-12 fractions of the queries make float32 round inner products
+    small = st.integers(-3, 3)
+    base = data.draw(arrays(np.int8, (n_base, dim), elements=small)).astype(np.float32)
+    mat = np.vstack([base, 3 * base])
+    mat[~mat.any(axis=1), 0] = 1  # cosine needs nonzero vectors
+    whole = data.draw(arrays(np.int8, (2, dim), elements=small))
+    frac = data.draw(arrays(np.int8, (2, dim), elements=small))
+    queries = (whole + frac * 2.0**-12).astype(np.float32)
+    queries[~queries.any(axis=1), 0] = 1
+    order = data.draw(st.permutations(range(len(mat))))
+    train = make_embeddings([f"t{i:02d}" for i in order], mat)
+    test = make_embeddings(["q0", "q1"], queries)
+    k = data.draw(st.integers(1, len(mat)))
+    for measure in MEASURES:
+        want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
+        for rows in (1, 7, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if rows is not None:
+                    mp.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
+                    mp.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", rows * len(test))
+                got = knn(test, train, k, measure=measure)
+            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
 
 
 @settings(max_examples=200, deadline=None)
