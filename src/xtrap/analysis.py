@@ -142,17 +142,9 @@ def _check_pairs(pairs: PairedScores) -> tuple[np.ndarray, np.ndarray]:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, tied values assigned the mean of their rank range."""
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    return ((end - counts + 1 + end) / 2.0)[group]
 
 
 def spearman(pairs: PairedScores) -> float:

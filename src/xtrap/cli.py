@@ -31,30 +31,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_embeddings(path, format: str) -> dataio.EmbeddingSet:
-    if format == "auto":
-        format = dataio.sniff_embedding_format(path)
-    return dataio.read_embeddings(path, format=format)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", required=True, help="output file path")
     parser.add_argument("-v", "--verbose", action="count", default=0, help="more logging")
     parser.add_argument("-q", "--quiet", action="store_true", help="errors only")
 
 
-def _add_emb_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--emb-format",
-        choices=("auto", "binary", "tsv"),
-        default="auto",
-        help="embedding file format (auto sniffs the EVEC magic)",
-    )
-
-
 def cmd_knn(args) -> int:
-    test = _read_embeddings(args.test_emb, args.emb_format)
-    train = _read_embeddings(args.train_emb, args.emb_format)
+    test = dataio.read_embeddings(args.test_emb)
+    train = dataio.read_embeddings(args.train_emb)
     lists = simindex.knn(test, train, args.k, measure=args.measure)
     simindex.write_neighbor_lists(lists, args.output)
     print(f"wrote top-{args.k} neighbors for {len(lists)} queries to {args.output}")
@@ -64,8 +49,8 @@ def cmd_knn(args) -> int:
 def cmd_candidates(args) -> int:
     test = dataio.parse_queries(args.test_queries)
     train = dataio.parse_queries(args.train_queries)
-    test_emb = _read_embeddings(args.test_emb, args.emb_format)
-    train_emb = _read_embeddings(args.train_emb, args.emb_format)
+    test_emb = dataio.read_embeddings(args.test_emb)
+    train_emb = dataio.read_embeddings(args.train_emb)
     pools = simindex.recall_candidates(
         test,
         train,
@@ -97,8 +82,8 @@ def cmd_restrain(args) -> int:
     )
     train = dataio.parse_queries(args.train_queries)
     test = dataio.parse_queries(args.test_queries)
-    train_emb = _read_embeddings(args.train_emb, args.emb_format)
-    test_emb = _read_embeddings(args.test_emb, args.emb_format)
+    train_emb = dataio.read_embeddings(args.train_emb)
+    test_emb = dataio.read_embeddings(args.test_emb)
     if args.regime == "inter":
         split = resample.restrain_interpolation(train, test, train_emb, test_emb, cfg)
     else:
@@ -121,8 +106,8 @@ def cmd_resttest(args) -> int:
     )
     train = dataio.parse_queries(args.train_queries)
     test = dataio.parse_queries(args.test_queries)
-    train_emb = _read_embeddings(args.train_emb, args.emb_format)
-    test_emb = _read_embeddings(args.test_emb, args.emb_format)
+    train_emb = dataio.read_embeddings(args.train_emb)
+    test_emb = dataio.read_embeddings(args.test_emb)
     folds = resample.resttest_split(train, test, train_emb, test_emb, cfg)
     resample.write_manifest(folds, args.output)
     sizes = ", ".join(str(len(b)) for b in folds.buckets)
@@ -221,7 +206,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    emb = _read_embeddings(args.emb, args.emb_format)
+    emb = dataio.read_embeddings(args.emb)
     projection = analysis.pca_project(emb, out_dims=2)
     groups: dict[str, str] | None = None
     if args.manifest:
@@ -246,7 +231,6 @@ def build_parser() -> _Parser:
     p.add_argument("--train-emb", required=True, help="training query embeddings")
     p.add_argument("-k", type=int, required=True, help="neighbors per test query")
     p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
-    _add_emb_format(p)
     _add_common(p)
     p.set_defaults(func=cmd_knn)
 
@@ -257,7 +241,6 @@ def build_parser() -> _Parser:
     p.add_argument("--train-emb", required=True)
     p.add_argument("--per-channel", type=int, default=10, help="neighbors per channel")
     p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
-    _add_emb_format(p)
     _add_common(p)
     p.set_defaults(func=cmd_candidates)
 
@@ -272,7 +255,6 @@ def build_parser() -> _Parser:
     p.add_argument("--size", type=int, required=True, help="target training set size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
-    _add_emb_format(p)
     _add_common(p)
     p.set_defaults(func=cmd_restrain)
 
@@ -286,7 +268,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-4, help="centroid-shift stopping tolerance")
     p.add_argument("--normalize", action="store_true", help="L2-normalize vectors before clustering")
-    _add_emb_format(p)
     _add_common(p)
     p.set_defaults(func=cmd_resttest)
 
@@ -330,7 +311,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pca", help="2-D PCA projection of embeddings for plotting")
     p.add_argument("--emb", required=True)
     p.add_argument("--manifest", default=None, help="split manifest used to label groups")
-    _add_emb_format(p)
     _add_common(p)
     p.set_defaults(func=cmd_pca)
 

@@ -8,7 +8,9 @@ Formats handled here:
 - run files:    ``qid Q0 docid rank score tag`` in TREC format; the rank
                 field is re-derived from scores, never trusted
 - embeddings:   either a bespoke binary format (magic ``EVEC``, see
-                :func:`read_embeddings`) or ``id<TAB>v1 v2 ... vdim`` TSV
+                :func:`read_embeddings`) or ``id<TAB>v1 v2 ... vdim`` TSV;
+                the file decides: one that starts with ``EVEC`` is EVEC,
+                any other is TSV, so :func:`read_embeddings` takes no format
 
 All readers accept LF and CRLF line endings; writers emit LF only and go
 through :func:`atomic_output`, so an output file is either fully written or
@@ -291,7 +293,7 @@ class EmbeddingSet:
             if _bad_id(eid):
                 raise DataError(f"embedding id must be a non-empty token, got {eid!r}")
             if eid in index:
-                raise DataError(f"duplicate embedding id {eid}")
+                raise DataError(f"duplicate embedding id {eid} (records {index[eid]} and {pos})")
             index[eid] = pos
         self._ids = tuple(ids)
         self._index = index
@@ -460,24 +462,25 @@ def _binary_error(path, offset: int, message: str) -> ParseError:
     return ParseError(path, f"offset {offset}: {message}")
 
 
-def read_embeddings(path, format: str = "binary") -> EmbeddingSet:
-    """Read embeddings in the given format ('binary' or 'tsv').
+def read_embeddings(path) -> EmbeddingSet:
+    """Read an embedding file: EVEC if it starts with the magic ``EVEC``, else TSV.
 
-    Binary layout, little-endian throughout: magic ``EVEC``, u32 version=1,
+    EVEC layout, little-endian throughout: magic ``EVEC``, u32 version=1,
     u64 count, u32 dim, then per record a u16 id byte length, the UTF-8 id,
-    and dim float32 components.
+    and dim float32 components. A TSV file whose first id begins with
+    ``EVEC`` is therefore read as EVEC, and rejected.
     """
-    if format == "binary":
-        return _read_embeddings_binary(path)
-    if format == "tsv":
-        return _read_embeddings_tsv(path)
-    raise ValueError(f"unknown embedding format {format!r}")
+    # unbuffered: after a buffered partial read, read() gathers the rest in
+    # chunks, which took twice as long as one read sized by the file
+    with open(path, "rb", buffering=0) as f:
+        if f.read(len(EMBEDDING_MAGIC)) == EMBEDDING_MAGIC:
+            f.seek(0)
+            return _read_embeddings_binary(path, f.read())
+    return _read_embeddings_tsv(path)
 
 
-def _read_embeddings_binary(path) -> EmbeddingSet:
-    with open(path, "rb") as f:
-        data = f.read()
-    off = 0
+def _read_embeddings_binary(path, data: bytes) -> EmbeddingSet:
+    off = len(EMBEDDING_MAGIC)
 
     def take(n: int, what: str) -> bytes:
         nonlocal off
@@ -487,8 +490,6 @@ def _read_embeddings_binary(path) -> EmbeddingSet:
         off += n
         return chunk
 
-    if take(4, "magic") != EMBEDDING_MAGIC:
-        raise _binary_error(path, 0, "bad magic, not an EVEC file")
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != EMBEDDING_VERSION:
         raise _binary_error(path, 4, f"unsupported version {version}")
@@ -516,15 +517,10 @@ def _read_embeddings_binary(path) -> EmbeddingSet:
         ids.append(eid)
     if off != len(data):
         raise _binary_error(path, off, f"{len(data) - off} trailing bytes after {count} records")
-    if count and not np.all(np.isfinite(matrix)):
-        bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0][0])
-        raise _binary_error(path, 0, f"non-finite component in vector for id {ids[bad]}")
-    seen: dict[str, int] = {}
-    for i, eid in enumerate(ids):
-        if eid in seen:
-            raise _binary_error(path, 0, f"duplicate id {eid} (records {seen[eid]} and {i})")
-        seen[eid] = i
-    return EmbeddingSet(ids, matrix)
+    try:
+        return EmbeddingSet(ids, matrix)
+    except DataError as e:
+        raise ParseError(path, str(e)) from e
 
 
 def _read_embeddings_tsv(path) -> EmbeddingSet:
@@ -545,17 +541,20 @@ def _read_embeddings_tsv(path) -> EmbeddingSet:
             values = [float(p) for p in parts]
         except ValueError:
             raise ParseError(path, "vector components must be decimal floats", lineno) from None
-        if any(not math.isfinite(v) for v in values):
+        # check the stored float32 row: a finite 1e39 overflows to inf in the cast
+        with np.errstate(over="ignore"):
+            row = np.asarray(values, dtype=np.float32)
+        if not np.isfinite(row).all():
             raise ParseError(path, f"non-finite component in vector for id {eid}", lineno)
         if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise ParseError(path, f"expected {dim} components, got {len(values)}", lineno)
+            dim = len(row)
+        elif len(row) != dim:
+            raise ParseError(path, f"expected {dim} components, got {len(row)}", lineno)
         if eid in seen:
             raise ParseError(path, f"duplicate id {eid}", lineno)
         seen.add(eid)
         ids.append(eid)
-        rows.append(np.asarray(values, dtype=np.float32))
+        rows.append(row)
     if dim is None:
         raise ParseError(path, "no embedding records found")
     return EmbeddingSet(ids, np.vstack(rows))
@@ -590,10 +589,3 @@ def _write_embeddings_tsv(embeddings: EmbeddingSet, path) -> None:
         for i, eid in enumerate(embeddings.ids):
             comps = " ".join("%.9g" % v for v in embeddings.matrix[i])
             f.write(f"{eid}\t{comps}\n")
-
-
-def sniff_embedding_format(path) -> str:
-    """Guess 'binary' vs 'tsv' from the EVEC magic bytes."""
-    with open(path, "rb") as f:
-        head = f.read(4)
-    return "binary" if head == EMBEDDING_MAGIC else "tsv"

@@ -1,8 +1,13 @@
+import os
 import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, make_embeddings
 from xtrap import cli, resample
@@ -60,7 +65,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for flag in ("--regime", "--train-queries", "--test-queries", "--train-emb",
                      "--test-emb", "-I", "-E", "--size", "--seed", "--measure",
-                     "--emb-format", "-o", "-v", "-q"):
+                     "-o", "-v", "-q"):
             assert flag in out
 
 
@@ -70,6 +75,15 @@ def test_threads_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["knn", "--test-emb", test, "--train-emb", train, "-k", "1",
                   "-o", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 1
+
+
+def test_emb_format_flag_is_usage_error(tmp_path):
+    test = emb_file(tmp_path, "test.evec", ["q"], [[1.0, 0.0]])
+    train = emb_file(tmp_path, "train.evec", ["a"], [[1.0, 0.0]])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["knn", "--test-emb", test, "--train-emb", train, "-k", "1",
+                  "-o", str(tmp_path / "out"), "--emb-format", "binary"])
     assert exc.value.code == 1
 
 
@@ -378,8 +392,46 @@ class TestOutputPath:
 
 
 def test_module_entry_point(tmp_path):
+    # the subprocess does not see pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-m", "xtrap", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "xtrap", "--help"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0
     assert "COMMAND" in result.stdout
+
+
+# {bad} is the fuzzed file; the other fields name valid inputs
+TOTALITY_COMMANDS = [
+    ["pca", "--emb", "{bad}"],
+    ["knn", "--test-emb", "{bad}", "--train-emb", "{emb}", "-k", "2"],
+    ["knn", "--test-emb", "{emb}", "--train-emb", "{bad}", "-k", "2"],
+    ["eval", "--run", "{bad}", "--qrels", "{qrels}", "--metric", "ndcg@10"],
+    ["eval", "--run", "{run}", "--qrels", "{bad}", "--metric", "ndcg@10"],
+    ["aggregate", "--manifest", "{bad}", "--qrels", "{qrels}", "--runs", "{run}", "{run}",
+     "--metric", "mrr@10"],
+    ["correlate", "--pairs", "{bad}"],
+    ["kappa", "--labels", "{bad}", "{labels}"],
+    ["overlap", "--test-qrels", "{bad}", "--train-qrels", "{qrels}"],
+    ["overlap", "--test-qrels", "{qrels}", "--train-qrels", "{bad}"],
+]
+TOTALITY_PREFIXES = [b"", b"EVEC", b"EVEC\x01\x00\x00\x00", b"#regime=resttest\n#k=2\n[training]\n", b"a\t"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(TOTALITY_COMMANDS), prefix=st.sampled_from(TOTALITY_PREFIXES),
+       data=st.binary(max_size=200))
+def test_cli_total_on_arbitrary_file(command, prefix, data):
+    """Any bytes as a command's one file input exit 0 or 2 and never raise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {"bad": tmp / "bad", "emb": tmp / "e.evec", "qrels": tmp / "qrels.txt",
+                 "run": tmp / "run.txt", "labels": tmp / "labels.tsv"}
+        files["bad"].write_bytes(prefix + data)
+        write_embeddings(make_embeddings(["t0", "t1", "t2"], [[1, 0], [0, 1], [1, 1]]), files["emb"])
+        files["qrels"].write_text("q0 0 d0 1\nq1 0 d1 2\n")
+        files["run"].write_text("q0 Q0 d0 1 2.0 t\nq1 Q0 d0 1 1.0 t\n")
+        files["labels"].write_text("i0\tyes\ni1\tno\n")
+        argv = [arg.format(**files) for arg in command] + ["-o", str(tmp / "out")]
+        assert cli.main(argv) in (0, 2)

@@ -3,11 +3,12 @@ import os
 import stat
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xtrap
@@ -204,7 +205,7 @@ class TestEmbeddingsBinary:
         blob = EMBEDDING_MAGIC + struct.pack("<IQI", 1, 1, 2)
         blob += struct.pack("<H", 1) + b"q" + np.array([1.0, 0.0], dtype="<f4").tobytes()
         path = write_text(tmp_path, "e.evec", blob)
-        es = read_embeddings(path, format="binary")
+        es = read_embeddings(path)
         assert es.ids == ("q",)
         assert es.dim == 2
         assert np.array_equal(es.vector("q"), np.array([1.0, 0.0], dtype=np.float32))
@@ -213,26 +214,27 @@ class TestEmbeddingsBinary:
         es = random_embedding_set(rng, 17, 5, id_maker=lambda i: f"qé{i}")
         p1, p2 = tmp_path / "a.evec", tmp_path / "b.evec"
         write_embeddings(es, p1, format="binary")
-        back = read_embeddings(p1, format="binary")
+        back = read_embeddings(p1)
         assert back == es
         write_embeddings(back, p2, format="binary")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_bad_magic(self, tmp_path):
+    def test_file_without_magic_is_read_as_tsv(self, tmp_path):
         path = write_text(tmp_path, "e.evec", b"NOPE" + b"\x00" * 20)
         with pytest.raises(ParseError) as exc:
-            read_embeddings(path, format="binary")
-        assert "magic" in str(exc.value)
+            read_embeddings(path)
+        assert str(exc.value).startswith(f"{path}:1: expected 'id<TAB>")
 
     def test_bad_version(self, tmp_path):
         path = write_text(tmp_path, "e.evec", EMBEDDING_MAGIC + struct.pack("<IQI", 9, 0, 1))
-        with pytest.raises(ParseError):
-            read_embeddings(path, format="binary")
+        with pytest.raises(ParseError) as exc:
+            read_embeddings(path)
+        assert "unsupported version" in str(exc.value)
 
     def test_zero_dim_rejected(self, tmp_path):
         path = write_text(tmp_path, "e.evec", EMBEDDING_MAGIC + struct.pack("<IQI", 1, 0, 0))
         with pytest.raises(ParseError) as exc:
-            read_embeddings(path, format="binary")
+            read_embeddings(path)
         assert "dim" in str(exc.value)
 
     def test_every_truncation_errors(self, tmp_path, rng):
@@ -243,7 +245,7 @@ class TestEmbeddingsBinary:
         for cut in range(len(blob)):
             trunc = write_text(tmp_path, "t.evec", blob[:cut])
             with pytest.raises(ParseError):
-                read_embeddings(trunc, format="binary")
+                read_embeddings(trunc)
 
     def test_trailing_bytes_error(self, tmp_path, rng):
         es = random_embedding_set(rng, 2, 3)
@@ -251,14 +253,14 @@ class TestEmbeddingsBinary:
         write_embeddings(es, path, format="binary")
         bloated = write_text(tmp_path, "b.evec", path.read_bytes() + b"x")
         with pytest.raises(ParseError) as exc:
-            read_embeddings(bloated, format="binary")
+            read_embeddings(bloated)
         assert "trailing" in str(exc.value)
 
     def test_nan_component_rejected(self, tmp_path):
         blob = EMBEDDING_MAGIC + struct.pack("<IQI", 1, 1, 1)
         blob += struct.pack("<H", 1) + b"q" + np.array([np.nan], dtype="<f4").tobytes()
         with pytest.raises(ParseError) as exc:
-            read_embeddings(write_text(tmp_path, "e.evec", blob), format="binary")
+            read_embeddings(write_text(tmp_path, "e.evec", blob))
         assert "non-finite" in str(exc.value)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -266,25 +268,34 @@ class TestEmbeddingsBinary:
         blob = EMBEDDING_MAGIC + struct.pack("<IQI", 1, 2, 1)
         blob += (struct.pack("<H", 1) + b"q" + vec) * 2
         with pytest.raises(ParseError):
-            read_embeddings(write_text(tmp_path, "e.evec", blob), format="binary")
+            read_embeddings(write_text(tmp_path, "e.evec", blob))
+
+    def test_duplicate_id_names_path_and_both_records(self, tmp_path):
+        vec = np.array([0.5], dtype="<f4").tobytes()
+        blob = EMBEDDING_MAGIC + struct.pack("<IQI", 1, 3, 1)
+        blob += b"".join(struct.pack("<H", 1) + eid + vec for eid in (b"q", b"r", b"q"))
+        path = write_text(tmp_path, "e.evec", blob)
+        with pytest.raises(ParseError) as exc:
+            read_embeddings(path)
+        assert str(exc.value) == f"{path}: duplicate embedding id q (records 0 and 2)"
 
     def test_empty_set_roundtrip(self, tmp_path):
         es = make_embeddings([], np.empty((0, 3), dtype=np.float32))
         path = tmp_path / "e.evec"
         write_embeddings(es, path, format="binary")
-        assert read_embeddings(path, format="binary") == es
+        assert read_embeddings(path) == es
 
     def test_long_id(self, tmp_path):
         eid = "x" * 300
         es = make_embeddings([eid], [[1.0, 2.0]])
         path = tmp_path / "e.evec"
         write_embeddings(es, path, format="binary")
-        assert read_embeddings(path, format="binary").ids == (eid,)
+        assert read_embeddings(path).ids == (eid,)
 
 
 class TestEmbeddingsTsv:
     def test_parse(self, tmp_path):
-        es = read_embeddings(write_text(tmp_path, "e.tsv", "q\t0.5 -0.5\n"), format="tsv")
+        es = read_embeddings(write_text(tmp_path, "e.tsv", "q\t0.5 -0.5\n"))
         assert es.dim == 2
         assert np.allclose(es.vector("q"), [0.5, -0.5])
 
@@ -292,7 +303,7 @@ class TestEmbeddingsTsv:
         es = random_embedding_set(rng, 9, 4)
         p1 = tmp_path / "a.tsv"
         write_embeddings(es, p1, format="tsv")
-        back = read_embeddings(p1, format="tsv")
+        back = read_embeddings(p1)
         assert back == es
         p2 = tmp_path / "b.tsv"
         write_embeddings(back, p2, format="tsv")
@@ -301,12 +312,21 @@ class TestEmbeddingsTsv:
     def test_dim_mismatch(self, tmp_path):
         path = write_text(tmp_path, "e.tsv", "a\t1 2\nb\t1 2 3\n")
         with pytest.raises(ParseError) as exc:
-            read_embeddings(path, format="tsv")
+            read_embeddings(path)
         assert ":2:" in str(exc.value)
 
     def test_inf_rejected(self, tmp_path):
         with pytest.raises(ParseError):
-            read_embeddings(write_text(tmp_path, "e.tsv", "a\t1 inf\n"), format="tsv")
+            read_embeddings(write_text(tmp_path, "e.tsv", "a\t1 inf\n"))
+
+    def test_float32_overflow_rejected_at_line(self, tmp_path):
+        # 1e39 is a finite float64 but inf once stored as float32
+        path = write_text(tmp_path, "e.tsv", "a\t1 2\nb\t1 1e39\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as exc:
+                read_embeddings(path)
+        assert str(exc.value) == f"{path}:2: non-finite component in vector for id b"
 
 
 class TestContainers:
@@ -353,11 +373,11 @@ class TestIdTokenRule:
         blob = EMBEDDING_MAGIC + struct.pack("<IQI", 1, 1, 1)
         blob += struct.pack("<H", 3) + b"a b" + vec
         with pytest.raises(ParseError):
-            read_embeddings(write_text(tmp_path, "e.evec", blob), format="binary")
+            read_embeddings(write_text(tmp_path, "e.evec", blob))
 
     def test_tsv_reader_rejects_empty_id(self, tmp_path):
         with pytest.raises(ParseError):
-            read_embeddings(write_text(tmp_path, "e.tsv", "\t1 2\n"), format="tsv")
+            read_embeddings(write_text(tmp_path, "e.tsv", "\t1 2\n"))
 
     def test_write_qrels_rejects_bad_ids(self, tmp_path):
         qrels = QrelSet({"q 1": {"d1": 1}})
@@ -400,7 +420,7 @@ def test_binary_embedding_roundtrip_property(ids, dim, data):
     es = make_embeddings(ids, np.asarray(values, dtype=np.float32).reshape(len(ids), dim))
     with tempfile.NamedTemporaryFile(suffix=".evec") as f:
         write_embeddings(es, f.name, format="binary")
-        assert read_embeddings(f.name, format="binary") == es
+        assert read_embeddings(f.name) == es
 
 
 @settings(max_examples=120, deadline=None)
@@ -419,14 +439,17 @@ def test_text_parsers_total(data):
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.binary(max_size=200))
+@example(data=b"a\t1e39\n")
 def test_binary_reader_total(data):
-    with tempfile.NamedTemporaryFile(suffix=".evec") as f:
-        f.write(data)
-        f.flush()
-        try:
-            read_embeddings(f.name, format="binary")
-        except ParseError:
-            pass
+    """Any bytes, with or without the EVEC magic, parse or raise ParseError."""
+    for blob in (data, EMBEDDING_MAGIC + data):
+        with tempfile.NamedTemporaryFile(suffix=".emb") as f:
+            f.write(blob)
+            f.flush()
+            try:
+                read_embeddings(f.name)
+            except ParseError:
+                pass
 
 
 class TestAtomicOutput:
