@@ -468,7 +468,8 @@ def read_embeddings(path) -> EmbeddingSet:
     EVEC layout, little-endian throughout: magic ``EVEC``, u32 version=1,
     u64 count, u32 dim, then per record a u16 id byte length, the UTF-8 id,
     and dim float32 components. A TSV file whose first id begins with
-    ``EVEC`` is therefore read as EVEC, and rejected.
+    ``EVEC`` is therefore read as EVEC, and rejected; `write_embeddings`
+    refuses to write one.
     """
     # unbuffered: after a buffered partial read, read() gathers the rest in
     # chunks, which took twice as long as one read sized by the file
@@ -584,6 +585,11 @@ def _write_embeddings_binary(embeddings: EmbeddingSet, path) -> None:
 
 
 def _write_embeddings_tsv(embeddings: EmbeddingSet, path) -> None:
+    if embeddings.ids and embeddings.ids[0].startswith(EMBEDDING_MAGIC.decode()):
+        raise DataError(
+            f"id {embeddings.ids[0]} cannot start a TSV embedding file: "
+            "a file that begins with EVEC is read as EVEC"
+        )
     # %.9g is lossless for float32 round-trips
     with atomic_output(path) as f:
         for i, eid in enumerate(embeddings.ids):

@@ -11,6 +11,14 @@ leave-one-bucket-out: models train on k-1 buckets, the held-out bucket's
 test queries score extrapolation, the rest score interpolation, and each
 test query is therefore scored k-1 times for interpolation.
 
+k-means is exact in float64 and bitwise reproducible. k-means++ seeding
+samples from the exact float64 squared distances of every row. Each Lloyd
+assignment first scores every (row, centroid) pair with a float32 GEMM
+and a certified rounding bound, the same screen `knn` uses; only the
+centroids that the bound cannot rule out get an exact float64 distance, so
+the assignment, its lowest-index tie rule and every inertia equal those of
+a float64 distance to every centroid.
+
 All randomness flows through numpy's PCG64 generator seeded from the
 config, and the algorithm identifier is recorded in the split manifest,
 so identical configs reproduce identical splits on any platform.
@@ -26,13 +34,20 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, QuerySet, RunSet
-from .dataio import _iter_lines, _row_chunks, atomic_output
+from .dataio import _iter_lines, atomic_output
 from .metrics import MetricSpec, score_run
-from .simindex import MEASURES, knn
+from .simindex import MEASURES, _rounding_bounds, knn
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "pcg64"
+
+# elements per block of k-means' exact distance pass and of normalization:
+# the float64 difference block and its gathered operands stay in L2 cache
+_BLOCK_ELEMENTS = 48 * 1024
+# rows per block of the assignment screen: per GEMM call, and per block of
+# its float64 per-pair temporaries
+_SCREEN_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -164,21 +179,86 @@ class FoldSpec:
         )
 
 
-def _sq_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distances, float64, chunked over rows."""
-    out = np.empty((X.shape[0], centroids.shape[0]), dtype=np.float64)
-    for lo, chunk in _row_chunks(X):
-        for j, centroid in enumerate(centroids):
-            diff = chunk - centroid
-            out[lo : lo + len(chunk), j] = np.einsum("ij,ij->i", diff, diff)
+def _sq_distances(X: np.ndarray, rows: np.ndarray, centroids: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Exact float64 squared distance from X[rows[p]] to centroids[cols[p]], per pair p.
+
+    The float32 rows are not copied to float64: the subtraction casts each
+    element exactly, so a pair's distance is the same float64 `einsum` over
+    its own difference vector whatever the blocking and the other pairs.
+    """
+    out = np.empty(len(rows), dtype=np.float64)
+    step = max(1, _BLOCK_ELEMENTS // X.shape[1])
+    for lo in range(0, len(rows), step):
+        block = slice(lo, lo + step)
+        diff = X[rows[block]] - centroids[cols[block]]
+        out[block] = np.einsum("ij,ij->i", diff, diff)
     return out
 
 
+def _assign(
+    X: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Nearest centroid of every row (lowest index on ties) and its exact distance.
+
+    A float32 GEMM gives the expanded distance |x|^2 - 2 x.c + |c|^2 of
+    every pair. It lies within `err` of the exact float64 distance, so a
+    centroid whose lower bound exceeds the row's best upper bound cannot be
+    nearest, and only the survivors get an exact distance. Returns the
+    assignment, its exact distances and the number of rows that had more
+    than one survivor.
+    """
+    n, dim = X.shape
+    gamma, tiny = _rounding_bounds(dim)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_norms = np.sqrt(c_sq)
+    # all GEMM calls first: BLAS threads spin between calls, and a call
+    # over fewer rows touches less of OpenBLAS's work buffers (about 60 MiB
+    # of RSS for one call over 200k x 768)
+    c32 = centroids.astype(np.float32).T
+    dots = np.empty((n, len(centroids)), dtype=np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _SCREEN_ROWS):
+            np.matmul(X[lo : lo + _SCREEN_ROWS], c32, out=dots[lo : lo + _SCREEN_ROWS])
+    assignment = np.empty(n, dtype=np.intp)
+    d2min = np.empty(n, dtype=np.float64)
+    rescored = 0
+    for lo in range(0, n, _SCREEN_ROWS):
+        block = slice(lo, lo + _SCREEN_ROWS)
+        x_sq = sq_norms[block, None]
+        # err covers the float32 dot product and centroid cast, the float64
+        # norms and sums, and the exact distance's own float64 rounding (a
+        # sum of dim squares of rounded differences): all are relative to
+        # (|x| + |c|)^2, which bounds both norms and 4 |x.c|; the absolute
+        # term covers float32 underflow of the 2 x.c products
+        x_norms = np.sqrt(x_sq)
+        err = gamma * (x_norms + c_norms) ** 2 + 4.0 * tiny * (1.0 + x_norms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = x_sq - 2.0 * dots[block] + c_sq
+            high = approx + err
+            survive = approx - err <= high.min(axis=1)[:, None]
+        # a float32 overflow leaves inf or nan: every centroid of the row survives
+        survive[~np.isfinite(high).all(axis=1)] = True
+        rows, cols = np.nonzero(survive)
+        exact = np.full(survive.shape, np.inf)
+        exact[rows, cols] = _sq_distances(X, rows + lo, centroids, cols)
+        best = np.argmin(exact, axis=1)
+        assignment[block] = best
+        d2min[block] = exact[np.arange(len(best)), best]
+        rescored += int(np.count_nonzero(survive.sum(axis=1) > 1))
+    return assignment, d2min, rescored
+
+
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seed centroids with the k-means++ scheme (D^2 sampling)."""
+    """Seed centroids with the k-means++ scheme (D^2 sampling).
+
+    The sampling reads every bit of `d2`, so each step is an exact pass
+    over all rows.
+    """
     n = X.shape[0]
+    rows = np.arange(n)
+    first = np.zeros(n, dtype=np.intp)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_distances(X, X[chosen[-1]][None].astype(np.float64))[:, 0]
+    d2 = _sq_distances(X, rows, X[chosen[-1]][None].astype(np.float64), first)
     for _ in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -188,7 +268,7 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             unused = sorted(set(range(n)) - set(chosen))
             idx = unused[int(rng.integers(len(unused)))]
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_distances(X, X[idx][None].astype(np.float64))[:, 0])
+        d2 = np.minimum(d2, _sq_distances(X, rows, X[idx][None].astype(np.float64), first))
     return X[chosen].astype(np.float64)
 
 
@@ -220,7 +300,9 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
     Stops on an assignment fixpoint, when no centroid moves more than
     `tol` (L2), or after `max_iters`. The recorded inertia history is
     checked to be non-increasing every iteration; an increase raises
-    DataError.
+    DataError. Every distance that decides a result is the exact float64
+    one; the float32 screen of `_assign` only skips centroids that cannot
+    be nearest.
     """
     n = len(points)
     if cfg.k > n:
@@ -231,21 +313,24 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise DataError(f"cannot normalize zero vector for id {points.ids[zero[0]]}")
-        X = (X.astype(np.float64) / norms[:, None]).astype(np.float32)
+        # divide in float64 and round to float32 block by block
+        unit = np.empty_like(X)
+        step = max(1, _BLOCK_ELEMENTS // X.shape[1])
+        for lo in range(0, n, step):
+            unit[lo : lo + step] = X[lo : lo + step] / norms[lo : lo + step, None]
+        X = unit
+    sq_norms = np.einsum("ij,ij->i", X, X, dtype=np.float64)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     centroids = _kmeanspp_init(X, cfg.k, rng)
-    d2 = _sq_distances(X, centroids)
-    assignment = np.argmin(d2, axis=1)
-    d2min = d2[np.arange(n), assignment]
+    assignment, d2min, rescored = _assign(X, sq_norms, centroids)
     history = [float(d2min.sum())]
 
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         new_centroids = _update_centroids(X, assignment, cfg.k, d2min, centroids)
-        d2 = _sq_distances(X, new_centroids)
-        new_assignment = np.argmin(d2, axis=1)
-        d2min = d2[np.arange(n), new_assignment]
+        new_assignment, d2min, more = _assign(X, sq_norms, new_centroids)
+        rescored += more
         inertia = float(d2min.sum())
         if inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
             raise DataError(
@@ -261,6 +346,11 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
         if shift < cfg.tol:
             break
 
+    # every assignment, the first and one per iteration, screens all n rows
+    logger.info(
+        "kmeans: %d iterations, inertia %r; assignment screen decided %d rows, %d rescored in float64",
+        iterations, history[-1], n * len(history) - rescored, rescored,
+    )
     mapping = {points.ids[i]: int(assignment[i]) for i in range(n)}
     return KMeansResult(
         centroids=centroids,

@@ -84,6 +84,21 @@ def _float32_floor(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rounding_bounds(dim: int) -> tuple[float, float]:
+    """Rounding constants of the float32 screens of `knn` and k-means.
+
+    `gamma` is Higham's bound for a dot product of length m in float32 plus
+    the same in float64, gamma_m = m u / (1 - m u), with m = dim + 3 so that
+    it also counts a few casts and products around the dot product; 2^-20
+    widens it past the float64 arithmetic of the bounds built from it.
+    `tiny` = dim 2^-149 covers float32 underflow: each product or cast of
+    the dot product loses at most 2^-150 absolutely.
+    """
+    m = dim + 3
+    gamma = sum(m * u / (1.0 - m * u) if m * u < 0.5 else math.inf for u in (2.0**-24, 2.0**-53))
+    return gamma * (1.0 + 2.0**-20), dim * 2.0**-149
+
+
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k largest scores in each row, in ascending
     column order; ties at the k-th value go to the lower columns.
@@ -154,16 +169,12 @@ def knn(
     peak = float(query_norms.max(initial=0.0) * train_norms.max())
     scale = 2.0 ** -max(0, math.ceil(math.log2(peak)) - 100) if peak > 0.0 else 1.0
     screen = (queries * scale).astype(np.float32)
-    # Higham's bound: |float32 score - scale * float64 score| is at most
-    # row_bound * max|t| + tiny * (1 + max|t|) over a block for inner product,
-    # and row_bound + tiny * (1 + max 1/|t|) for cosine. gamma sums gamma_m of
-    # both precisions, m = dim + 3 counting the casts and the 1/|t| product;
-    # 2^-20 widens it past the float64 arithmetic of the bound itself, and
-    # tiny covers float32 underflow.
-    m = dim + 3
-    gamma = sum(m * u / (1.0 - m * u) if m * u < 0.5 else math.inf for u in (2.0**-24, 2.0**-53))
-    row_bound = gamma * (1.0 + 2.0**-20) * scale * query_norms
-    tiny = dim * 2.0**-149
+    # |float32 score - scale * float64 score| is at most row_bound * max|t| +
+    # tiny * (1 + max|t|) over a block for inner product, and row_bound +
+    # tiny * (1 + max 1/|t|) for cosine; gamma's m = dim + 3 counts the
+    # query's casts and the 1/|t| product
+    gamma, tiny = _rounding_bounds(dim)
+    row_bound = gamma * scale * query_norms
 
     block = max(_KNN_BLOCK_MIN_ROWS, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
     # per test query: the k largest lower bounds on float64 scores seen so

@@ -165,3 +165,71 @@ def round_robin_union(neighbor_id_lists, target):
                 seen.add(lst[rank])
                 seq.append(lst[rank])
     return seq[:target]
+
+
+def kmeans_lloyd(mat, k, seed, max_iters=100, tol=1e-4, normalize=False):
+    """k-means++ seeding from PCG64(seed), then Lloyd's loop with every
+    distance a float64 einsum of (float64 row - centroid), one centroid at a
+    time. Returns (assignment, centroids, history, iterations); raises
+    ValueError where the library raises DataError."""
+    X = np.asarray(mat, dtype=np.float32)
+    n = len(X)
+    if normalize:
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X, dtype=np.float64))
+        if (norms == 0.0).any():
+            raise ValueError("zero vector")
+        X = (X.astype(np.float64) / norms[:, None]).astype(np.float32)
+    X64 = X.astype(np.float64)
+
+    def distances(centroids):
+        out = np.empty((n, len(centroids)))
+        for j, centroid in enumerate(centroids):
+            diff = X64 - centroid
+            out[:, j] = np.einsum("ij,ij->i", diff, diff)
+        return out
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    chosen = [int(rng.integers(n))]
+    d2 = distances(X64[chosen[-1]][None])[:, 0]
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            unused = sorted(set(range(n)) - set(chosen))
+            idx = unused[int(rng.integers(len(unused)))]
+        chosen.append(idx)
+        d2 = np.minimum(d2, distances(X64[idx][None])[:, 0])
+    centroids = X64[chosen]
+
+    d2 = distances(centroids)
+    assignment = np.argmin(d2, axis=1)
+    d2min = d2[np.arange(n), assignment]
+    history = [float(d2min.sum())]
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        new_centroids = centroids.copy()
+        counts = np.bincount(assignment, minlength=k)
+        for j in range(k):
+            if counts[j]:
+                new_centroids[j] = X[assignment == j].sum(axis=0, dtype=np.float64) / counts[j]
+        stealable = d2min.copy()
+        for j in np.flatnonzero(counts == 0):
+            victim = int(np.argmax(stealable))
+            new_centroids[j] = X64[victim]
+            stealable[victim] = -1.0
+        d2 = distances(new_centroids)
+        new_assignment = np.argmin(d2, axis=1)
+        d2min = d2[np.arange(n), new_assignment]
+        inertia = float(d2min.sum())
+        if inertia > history[-1] * (1.0 + 1e-12) + 1e-12:
+            raise ValueError("inertia increased")
+        history.append(inertia)
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        if shift < tol:
+            break
+    return assignment, centroids, history, iterations

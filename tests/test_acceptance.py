@@ -353,11 +353,15 @@ class TestC8Performance:
 
 class TestC9Smoke:
     def test_c9_pipeline_interpolation_beats_extrapolation(self, tmp_path):
+        # the subprocess does not see pytest's pythonpath setting
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, str(Path(__file__).parent.parent / "scripts" / "synthetic_pipeline.py"),
              "--workdir", str(tmp_path / "smoke"), "--seed", "42"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         summary = {}

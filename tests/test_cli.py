@@ -235,9 +235,9 @@ class TestResttestAndAggregate:
         real = resample._sq_distances
         calls = []
 
-        def growing(X, centroids):
+        def growing(X, rows, centroids, cols):
             calls.append(None)
-            return real(X, centroids) * 10.0 ** len(calls)
+            return real(X, rows, centroids, cols) * 10.0 ** len(calls)
 
         monkeypatch.setattr(resample, "_sq_distances", growing)
         files = restrain_inputs(tmp_path, rng, n_train=30, n_test=6)

@@ -309,6 +309,16 @@ class TestEmbeddingsTsv:
         write_embeddings(back, p2, format="tsv")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_first_id_with_magic_prefix_not_written(self, tmp_path):
+        # such a file would be read back as EVEC and rejected
+        path = tmp_path / "e.tsv"
+        with pytest.raises(DataError, match="id EVECx cannot start a TSV embedding file"):
+            write_embeddings(make_embeddings(["EVECx", "b"], [[1.0], [2.0]]), path, format="tsv")
+        assert not path.exists()
+        es = make_embeddings(["b", "EVECx"], [[1.0], [2.0]])
+        write_embeddings(es, path, format="tsv")
+        assert read_embeddings(path) == es
+
     def test_dim_mismatch(self, tmp_path):
         path = write_text(tmp_path, "e.tsv", "a\t1 2\nb\t1 2 3\n")
         with pytest.raises(ParseError) as exc:

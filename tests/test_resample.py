@@ -1,5 +1,12 @@
+import logging
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import make_embeddings, make_queries, random_embeddings
@@ -103,6 +110,72 @@ class TestKMeans:
         assert set(result.assignment) == set(points.ids)
         for prev, cur in zip(result.history, result.history[1:]):
             assert cur <= prev + 1e-9
+
+    def test_normalize_peak_below_float64_copy(self, rng):
+        # the float32 unit rows take half of a float64 copy; the rest is
+        # blocks, per-cluster gathers and per-row results
+        points = random_embeddings(rng, "p", 4096, 512)
+        tracemalloc.start()
+        try:
+            kmeans(points, KMeansConfig(k=4, seed=1, max_iters=1, normalize=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < points.matrix.size * 8
+
+    def test_logs_iterations_inertia_and_screen(self, rng, caplog):
+        points = random_embeddings(rng, "p", 200, 6)
+        with caplog.at_level(logging.INFO, logger="xtrap.resample"):
+            result = kmeans(points, KMeansConfig(k=4, seed=3))
+        pattern = r"kmeans: (\d+) iterations, inertia (\S+); assignment screen decided (\d+) rows, (\d+) rescored in float64"
+        (match,) = [m for r in caplog.records if (m := re.fullmatch(pattern, r.getMessage()))]
+        assert int(match[1]) == result.iterations
+        assert match[2] == repr(result.inertia)
+        # every assignment, the first and one per iteration, covers all rows
+        assert int(match[3]) + int(match[4]) == 200 * (result.iterations + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kmeans_matches_float64_lloyd_oracle(data):
+    # duplicated rows and exact midpoints of two rows are equidistant from
+    # two centroids; the 2^-12 fractions make float32 round the screen's dot
+    # products; 2^66 overflows float32 products and 2^-140 is subnormal
+    dim = data.draw(st.integers(1, 40))
+    n_pool = data.draw(st.integers(1, 12))
+    small = st.integers(-3, 3)
+    whole = data.draw(arrays(np.int8, (n_pool, dim), elements=small))
+    frac = data.draw(arrays(np.int8, (n_pool, dim), elements=small))
+    pool = whole + frac * 2.0**-12
+    index = st.integers(0, n_pool - 1)
+    picks = data.draw(st.lists(index, min_size=1, max_size=30))
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=10))
+    rows = np.vstack([pool[picks]] + [(pool[[a]] + pool[[b]]) / 2 for a, b in pairs])
+    scale = data.draw(st.sampled_from([1.0, 2.0**-140, 2.0**60, 2.0**66]))
+    points = make_embeddings([f"p{i:02d}" for i in range(len(rows))], rows * scale)
+    k = data.draw(st.integers(1, len(rows)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    normalize = data.draw(st.booleans())
+    cfg = KMeansConfig(k=k, seed=seed, normalize=normalize)
+    try:
+        want = oracles.kmeans_lloyd(points.matrix, k, seed, normalize=normalize)
+    except ValueError:
+        want = None
+    # blocks of one row and of seven rows, then the default blocks
+    for block_rows in (1, 7, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr("xtrap.resample._SCREEN_ROWS", block_rows)
+                mp.setattr("xtrap.resample._BLOCK_ELEMENTS", block_rows * dim)
+            if want is None:
+                with pytest.raises(DataError):
+                    kmeans(points, cfg)
+                continue
+            got = kmeans(points, cfg)
+        assert [got.assignment[i] for i in points.ids] == want[0].tolist()
+        assert got.centroids.tobytes() == want[1].tobytes()
+        assert list(got.history) == want[2]
+        assert got.iterations == want[3]
 
 
 def neighbor_id_lists(test_emb, train_emb, depth):
