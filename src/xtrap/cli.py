@@ -66,17 +66,12 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_restrain(args) -> int:
-    include_depth, exclude_depth = args.include_depth, args.exclude_depth
-    if include_depth is None and exclude_depth is None:
-        include_depth = exclude_depth = 1
-    elif include_depth is None:
-        include_depth = exclude_depth
-    elif exclude_depth is None:
-        exclude_depth = include_depth
+    inc, exc = args.include_depth, args.exclude_depth
     cfg = resample.ReSTrainConfig(
         target_size=args.size,
-        include_depth=include_depth,
-        exclude_depth=exclude_depth,
+        # each depth defaults to the other, and both to 1
+        include_depth=inc if inc is not None else exc or 1,
+        exclude_depth=exc if exc is not None else inc or 1,
         seed=args.seed,
         measure=args.measure,
     )
@@ -250,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-queries", required=True)
     p.add_argument("--train-emb", required=True)
     p.add_argument("--test-emb", required=True)
-    p.add_argument("-I", "--include-depth", type=int, default=None, help="neighbors collected per test query (interpolation)")
+    p.add_argument("-I", "--include-depth", type=int, default=None, help="depth of the first kNN scan (interpolation; the split does not depend on it); defaults to -E")
     p.add_argument("-E", "--exclude-depth", type=int, default=None, help="neighbors excluded per test query (extrapolation); defaults to -I")
     p.add_argument("--size", type=int, required=True, help="target training set size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -16,6 +16,11 @@ All readers accept LF and CRLF line endings; writers emit LF only and go
 through :func:`atomic_output`, so an output file is either fully written or
 left as it was. Every parsed container is immutable after construction and
 safe to share across threads.
+
+Query and embedding readers check syntax only; :class:`QuerySet` and
+:class:`EmbeddingSet` check the record rules (unique whitespace-free ids,
+finite components). A reader re-raises their error at the record's
+``path:line``, or for EVEC at the path with the record in the message.
 """
 
 from __future__ import annotations
@@ -112,7 +117,33 @@ class ParseError(ValueError):
 
 
 class DataError(ValueError):
-    """Inputs parsed fine but violate a semantic contract."""
+    """Inputs parsed fine but violate a semantic contract (at `record`, 0-based, if set)."""
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
+
+
+@contextlib.contextmanager
+def _located(path, lines: Sequence[int] | None = None) -> Iterator[None]:
+    """Re-raise a container's DataError as a ParseError at its record's line in `lines`."""
+    try:
+        yield
+    except DataError as e:
+        line = lines[e.record] if lines is not None and e.record is not None else None
+        raise ParseError(path, str(e), line) from e
+
+
+def _index_ids(ids: Sequence[str], kind: str) -> dict[str, int]:
+    """Map each id to its position; every id must be a token, and unique."""
+    index: dict[str, int] = {}
+    for pos, eid in enumerate(ids):
+        if _bad_id(eid):
+            raise DataError(f"{kind} id must be a non-empty token, got {eid!r} (record {pos})", pos)
+        if eid in index:
+            raise DataError(f"duplicate {kind} id {eid} (records {index[eid]} and {pos})", pos)
+        index[eid] = pos
+    return index
 
 
 def _iter_lines(path) -> Iterator[tuple[int, str]]:
@@ -147,18 +178,12 @@ class QuerySet:
 
     def __init__(self, queries: Iterable[Query]):
         self._queries = tuple(queries)
-        index: dict[str, int] = {}
-        for pos, q in enumerate(self._queries):
-            if _bad_id(q.id):
-                raise DataError(f"query id must be a non-empty token, got {q.id!r}")
-            if q.id in index:
-                raise DataError(f"duplicate query id {q.id}")
-            index[q.id] = pos
-        self._index = index
+        self._ids = tuple(q.id for q in self._queries)
+        self._index = _index_ids(self._ids, "query")
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(q.id for q in self._queries)
+        return self._ids
 
     def text(self, query_id: str) -> str:
         return self._queries[self._index[query_id]].text
@@ -285,18 +310,12 @@ class EmbeddingSet:
             raise DataError("embedding dim must be positive")
         if matrix.shape[0] != len(ids):
             raise DataError(f"{len(ids)} ids but {matrix.shape[0]} vectors")
-        if not np.all(np.isfinite(matrix)):
-            bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0][0])
-            raise DataError(f"non-finite component in vector for id {ids[bad]}")
-        index: dict[str, int] = {}
-        for pos, eid in enumerate(ids):
-            if _bad_id(eid):
-                raise DataError(f"embedding id must be a non-empty token, got {eid!r}")
-            if eid in index:
-                raise DataError(f"duplicate embedding id {eid} (records {index[eid]} and {pos})")
-            index[eid] = pos
         self._ids = tuple(ids)
-        self._index = index
+        self._index = _index_ids(self._ids, "embedding")
+        # min and max propagate nan and hold any inf, without a full-size mask
+        if matrix.size and not np.isfinite([matrix.min(), matrix.max()]).all():
+            bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+            raise DataError(f"non-finite component in vector for id {ids[bad]}", bad)
         if matrix.flags.writeable:
             matrix.setflags(write=False)
         self._matrix = matrix
@@ -323,19 +342,20 @@ class EmbeddingSet:
         return len(self._ids)
 
     def subset(self, ids: Sequence[str]) -> "EmbeddingSet":
-        """Project onto `ids` in the given order; unknown ids are an error."""
-        positions = []
-        for eid in ids:
-            if eid not in self._index:
-                raise DataError(f"no embedding for id {eid}")
-            positions.append(self._index[eid])
+        """Project onto `ids` in the given order (the set itself if that is its
+        own order); unknown ids are an error."""
+        if tuple(ids) == self._ids:
+            return self
+        try:
+            positions = [self._index[eid] for eid in ids]
+        except KeyError as e:
+            raise DataError(f"no embedding for id {e.args[0]}") from None
         return EmbeddingSet(list(ids), self._matrix[positions])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, EmbeddingSet)
             and self._ids == other._ids
-            and self._matrix.shape == other._matrix.shape
             and bool(np.array_equal(self._matrix, other._matrix))
         )
 
@@ -343,20 +363,14 @@ class EmbeddingSet:
 def parse_queries(path) -> QuerySet:
     """Read ``id<TAB>text`` records, preserving file order."""
     queries: list[Query] = []
-    first_line: dict[str, int] = {}
+    lines: list[int] = []
     for lineno, line in _iter_lines(path):
         if "\t" not in line:
             raise ParseError(path, "expected 'id<TAB>text'", lineno)
-        qid, text = line.split("\t", 1)
-        if not qid or any(ch.isspace() for ch in qid):
-            raise ParseError(path, f"query id must be a non-empty token, got {qid!r}", lineno)
-        if qid in first_line:
-            raise ParseError(
-                path, f"duplicate id {qid} (first seen at line {first_line[qid]})", lineno
-            )
-        first_line[qid] = lineno
-        queries.append(Query(qid, text))
-    return QuerySet(queries)
+        queries.append(Query(*line.split("\t", 1)))
+        lines.append(lineno)
+    with _located(path, lines):
+        return QuerySet(queries)
 
 
 def write_queries(queries: QuerySet, path) -> None:
@@ -511,30 +525,23 @@ def _read_embeddings_binary(path, data: bytes) -> EmbeddingSet:
             eid = take(id_len, f"id of record {i}").decode("utf-8")
         except UnicodeDecodeError as e:
             raise _binary_error(path, off, f"record {i}: id is not valid UTF-8: {e}") from e
-        if _bad_id(eid):
-            raise _binary_error(path, off, f"record {i}: id must be a non-empty whitespace-free token")
         raw = take(vec_bytes, f"vector of record {i}")
         matrix[i] = np.frombuffer(raw, dtype="<f4")
         ids.append(eid)
     if off != len(data):
         raise _binary_error(path, off, f"{len(data) - off} trailing bytes after {count} records")
-    try:
+    with _located(path):
         return EmbeddingSet(ids, matrix)
-    except DataError as e:
-        raise ParseError(path, str(e)) from e
 
 
 def _read_embeddings_tsv(path) -> EmbeddingSet:
     ids: list[str] = []
-    seen: set[str] = set()
     rows: list[np.ndarray] = []
-    dim: int | None = None
+    lines: list[int] = []
     for lineno, line in _iter_lines(path):
         if "\t" not in line:
             raise ParseError(path, "expected 'id<TAB>v1 v2 ...'", lineno)
         eid, rest = line.split("\t", 1)
-        if _bad_id(eid):
-            raise ParseError(path, f"embedding id must be a non-empty token, got {eid!r}", lineno)
         parts = rest.split()
         if not parts:
             raise ParseError(path, "empty vector", lineno)
@@ -542,23 +549,18 @@ def _read_embeddings_tsv(path) -> EmbeddingSet:
             values = [float(p) for p in parts]
         except ValueError:
             raise ParseError(path, "vector components must be decimal floats", lineno) from None
-        # check the stored float32 row: a finite 1e39 overflows to inf in the cast
+        # a finite 1e39 overflows to inf in the cast; the set rejects the row
         with np.errstate(over="ignore"):
             row = np.asarray(values, dtype=np.float32)
-        if not np.isfinite(row).all():
-            raise ParseError(path, f"non-finite component in vector for id {eid}", lineno)
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
-            raise ParseError(path, f"expected {dim} components, got {len(row)}", lineno)
-        if eid in seen:
-            raise ParseError(path, f"duplicate id {eid}", lineno)
-        seen.add(eid)
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(path, f"expected {len(rows[0])} components, got {len(row)}", lineno)
         ids.append(eid)
         rows.append(row)
-    if dim is None:
+        lines.append(lineno)
+    if not rows:
         raise ParseError(path, "no embedding records found")
-    return EmbeddingSet(ids, np.vstack(rows))
+    with _located(path, lines):
+        return EmbeddingSet(ids, np.vstack(rows))
 
 
 def write_embeddings(embeddings: EmbeddingSet, path, format: str = "binary") -> None:

@@ -135,13 +135,14 @@ def knn(
     neighbor id.
     """
     _check_measure(measure)
+    n_train = len(train)
+    # before the k check: a caller capping k at the training size passes k=0
+    if n_train == 0:
+        raise DataError("training embedding set is empty")
     if k < 1:
         raise ValueError("k must be >= 1")
     if test.dim != train.dim:
         raise DataError(f"dimension mismatch: test dim {test.dim}, train dim {train.dim}")
-    n_train = len(train)
-    if n_train == 0:
-        raise DataError("training embedding set is empty")
     if k > n_train:
         logger.warning("k=%d exceeds training set size %d; returning all neighbors", k, n_train)
         k = n_train

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, make_embeddings
@@ -172,6 +172,17 @@ class TestRestrainCli:
         split = read_manifest(out)
         assert split.provenance["include_depth"] == "3"
         assert split.provenance["exclude_depth"] == "3"
+
+    def test_empty_training_set_is_data_error(self, tmp_path, rng, capsys):
+        files = restrain_inputs(tmp_path, rng)
+        empty = write(tmp_path / "empty.tsv", "")
+        for regime in ("inter", "extra"):
+            rc = cli.main(["restrain", "--regime", regime,
+                           "--train-queries", empty, "--test-queries", files["test_q"],
+                           "--train-emb", files["train_e"], "--test-emb", files["test_e"],
+                           "-E", "2", "--size", "1", "-o", str(tmp_path / "m.txt")])
+            assert rc == 2
+            assert "xtrap: data error:" in capsys.readouterr().err
 
     def test_infeasible_size_is_data_error(self, tmp_path, rng):
         files = restrain_inputs(tmp_path, rng)
@@ -416,22 +427,59 @@ TOTALITY_COMMANDS = [
     ["overlap", "--test-qrels", "{bad}", "--train-qrels", "{qrels}"],
     ["overlap", "--test-qrels", "{qrels}", "--train-qrels", "{bad}"],
 ]
+# the resampling commands read four files; each takes the fuzzed one in turn
+_RESAMPLE_SLOTS = [("--train-queries", "{train_q}"), ("--test-queries", "{test_q}"),
+                   ("--train-emb", "{emb}"), ("--test-emb", "{test_emb}")]
+_RESAMPLE_COMMANDS = [
+    ["restrain", "--regime", "inter", "--size", "2"],
+    ["restrain", "--regime", "extra", "-E", "1", "--size", "1"],
+    ["resttest", "-k", "2"],
+    ["candidates", "--per-channel", "2"],
+]
+RESAMPLE_TOTALITY_COMMANDS = [
+    command + [arg for flag, valid in _RESAMPLE_SLOTS for arg in (flag, "{bad}" if flag == bad else valid)]
+    for command in _RESAMPLE_COMMANDS
+    for bad, _ in _RESAMPLE_SLOTS
+]
+TOTALITY_COMMANDS += RESAMPLE_TOTALITY_COMMANDS
+# an empty training query file once made `restrain --regime extra` exit 1
+EMPTY_TRAINING_QUERIES = next(
+    c for c in RESAMPLE_TOTALITY_COMMANDS if "extra" in c and c[c.index("--train-queries") + 1] == "{bad}"
+)
 TOTALITY_PREFIXES = [b"", b"EVEC", b"EVEC\x01\x00\x00\x00", b"#regime=resttest\n#k=2\n[training]\n", b"a\t"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(command=st.sampled_from(TOTALITY_COMMANDS), prefix=st.sampled_from(TOTALITY_PREFIXES),
-       data=st.binary(max_size=200))
-def test_cli_total_on_arbitrary_file(command, prefix, data):
-    """Any bytes as a command's one file input exit 0 or 2 and never raise."""
+def _run_with_valid_inputs(command, bad_bytes):
+    """Exit code of `command` with `bad_bytes` as {bad} and valid other inputs."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {"bad": tmp / "bad", "emb": tmp / "e.evec", "qrels": tmp / "qrels.txt",
-                 "run": tmp / "run.txt", "labels": tmp / "labels.tsv"}
-        files["bad"].write_bytes(prefix + data)
+                 "run": tmp / "run.txt", "labels": tmp / "labels.tsv", "train_q": tmp / "train_q.tsv",
+                 "test_q": tmp / "test_q.tsv", "test_emb": tmp / "test.evec"}
+        files["bad"].write_bytes(bad_bytes)
         write_embeddings(make_embeddings(["t0", "t1", "t2"], [[1, 0], [0, 1], [1, 1]]), files["emb"])
+        write_embeddings(make_embeddings(["q0", "q1"], [[1, 0.5], [-1, 0]]), files["test_emb"])
+        files["train_q"].write_text("t0\tred apple\nt1\tgreen pear\nt2\tred pear\n")
+        files["test_q"].write_text("q0\tred\nq1\tpear tree\n")
         files["qrels"].write_text("q0 0 d0 1\nq1 0 d1 2\n")
         files["run"].write_text("q0 Q0 d0 1 2.0 t\nq1 Q0 d0 1 1.0 t\n")
         files["labels"].write_text("i0\tyes\ni1\tno\n")
         argv = [arg.format(**files) for arg in command] + ["-o", str(tmp / "out")]
-        assert cli.main(argv) in (0, 2)
+        return cli.main(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(TOTALITY_COMMANDS), prefix=st.sampled_from(TOTALITY_PREFIXES),
+       data=st.binary(max_size=200))
+@example(command=EMPTY_TRAINING_QUERIES, prefix=b"", data=b"")
+def test_cli_total_on_arbitrary_file(command, prefix, data):
+    """Any bytes as a command's one file input exit 0 or 2 and never raise."""
+    assert _run_with_valid_inputs(command, prefix + data) in (0, 2)
+
+
+@pytest.mark.parametrize("command", RESAMPLE_TOTALITY_COMMANDS, ids=" ".join)
+def test_resample_totality_inputs_are_valid(command):
+    # with the slot's own valid file in place of {bad} the command succeeds,
+    # so in the property above only the fuzzed file can make it fail
+    valid = dict(_RESAMPLE_SLOTS)[command[command.index("{bad}") - 1]]
+    assert _run_with_valid_inputs([arg.replace("{bad}", valid) for arg in command], b"") == 0

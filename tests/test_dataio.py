@@ -31,7 +31,7 @@ from xtrap.dataio import (
     write_run,
 )
 
-from conftest import make_embeddings
+from conftest import make_embeddings, make_queries
 
 
 def write_text(tmp_path, name, content):
@@ -49,7 +49,7 @@ class TestParseQueries:
         path = write_text(tmp_path, "q.tsv", "1\ta\n1\tb\n")
         with pytest.raises(ParseError) as exc:
             parse_queries(path)
-        assert "duplicate id 1" in str(exc.value)
+        assert "duplicate query id 1" in str(exc.value)
         assert ":2:" in str(exc.value)
 
     def test_empty_text_allowed(self, tmp_path):
@@ -401,6 +401,66 @@ class TestIdTokenRule:
             write_run(RunSet({"q1": [("d1", 1.0)]}), tmp_path / "r.txt", tag="bad tag")
 
 
+# line 2 of each file breaks one record rule, which its container checks
+RULE_BREAKS = [
+    (parse_queries, "q.tsv", "a\tx\nb c\ty\n", "query id must be a non-empty token, got 'b c' (record 1)"),
+    (parse_queries, "q.tsv", "a\tx\na\ty\n", "duplicate query id a (records 0 and 1)"),
+    (read_embeddings, "e.tsv", "a\t1 2\nb c\t3 4\n", "embedding id must be a non-empty token, got 'b c' (record 1)"),
+    (read_embeddings, "e.tsv", "a\t1 2\na\t3 4\n", "duplicate embedding id a (records 0 and 1)"),
+    (read_embeddings, "e.tsv", "a\t1 2\nb\t3 nan\n", "non-finite component in vector for id b"),
+]
+
+
+class TestRecordRulesOneHome:
+    @pytest.mark.parametrize("reader,name,text,message", RULE_BREAKS)
+    def test_text_reader_names_the_line(self, tmp_path, reader, name, text, message):
+        # record 1 is on line 2, and on line 4 behind two blank lines
+        for blank, line in (("", 2), ("\n\n", 4)):
+            path = write_text(tmp_path, name, blank + text)
+            with pytest.raises(ParseError) as exc:
+                reader(path)
+            assert str(exc.value) == f"{path}:{line}: {message}"
+            assert exc.value.__cause__.record == 1
+
+    def test_evec_whitespace_id_names_its_record(self, tmp_path):
+        vec = np.array([0.5], dtype="<f4").tobytes()
+        blob = EMBEDDING_MAGIC + struct.pack("<IQI", 1, 2, 1)
+        blob += struct.pack("<H", 1) + b"a" + vec + struct.pack("<H", 3) + b"b c" + vec
+        path = write_text(tmp_path, "e.evec", blob)
+        with pytest.raises(ParseError) as exc:
+            read_embeddings(path)
+        assert str(exc.value) == f"{path}: embedding id must be a non-empty token, got 'b c' (record 1)"
+
+    def test_containers_name_the_record(self):
+        with pytest.raises(DataError) as exc:
+            make_queries(["a", "b", "a"])
+        assert exc.value.record == 2
+        with pytest.raises(DataError) as exc:
+            EmbeddingSet(["a", "b"], np.array([[0.0], [np.inf]], dtype=np.float32))
+        assert exc.value.record == 1
+        with pytest.raises(DataError) as exc:
+            EmbeddingSet(["a"], np.zeros((2, 1), dtype=np.float32))
+        assert exc.value.record is None
+
+    def test_in_order_subset_is_the_set(self):
+        es = make_embeddings(["a", "b", "c"], [[1.0], [2.0], [3.0]])
+        assert es.subset(es.ids) is es
+        assert es.subset(["a", "b", "c"]) is es
+
+    def test_reordered_subset_follows_the_request(self):
+        es = make_embeddings(["a", "b", "c"], [[1.0], [2.0], [3.0]])
+        sub = es.subset(["c", "a"])
+        assert sub.ids == ("c", "a")
+        assert sub.matrix.tolist() == [[3.0], [1.0]]
+        with pytest.raises(DataError, match="duplicate embedding id a"):
+            es.subset(["a", "a"])
+
+    def test_query_ids_are_one_stored_tuple(self):
+        qs = make_queries(["x", "y"])
+        assert qs.ids == ("x", "y")
+        assert qs.ids is qs.ids
+
+
 token_ids = st.lists(
     st.text(
         alphabet=st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
@@ -524,3 +584,44 @@ def test_only_atomic_output_opens_files_for_writing():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+# where each record rule may be checked: the shared id check and the writers
+# (whose QrelSet and RunSet inputs are not checked for ids) apply _bad_id;
+# the query and embedding readers check syntax only
+_BAD_ID_CALLERS = {"_index_ids", "write_qrels", "write_run"}
+_SYNTAX_ONLY_READERS = {"parse_queries", "_read_embeddings_tsv", "_read_embeddings_binary"}
+
+
+def _call_name(node: ast.Call) -> str | None:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_record_rules_have_one_home():
+    offenders = []
+    defined = set()
+    for path in sorted(Path(xtrap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in ast.walk(tree):
+            if isinstance(scope, ast.Attribute) and scope.attr == "isspace":
+                offenders.append(f"{path.name}:{scope.lineno}: isspace")
+            if isinstance(scope, ast.ClassDef) and scope.name in ("QuerySet", "EmbeddingSet"):
+                defined.add(scope.name)
+                calls = {_call_name(n) for n in ast.walk(scope) if isinstance(n, ast.Call)}
+                if "_index_ids" not in calls:
+                    offenders.append(f"{path.name}:{scope.lineno}: {scope.name} skips _index_ids")
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            defined.add(scope.name)
+            for node in ast.walk(scope):
+                called = _call_name(node) if isinstance(node, ast.Call) else None
+                if called == "_bad_id" and scope.name not in _BAD_ID_CALLERS:
+                    offenders.append(f"{path.name}:{node.lineno}: _bad_id in {scope.name}")
+                if scope.name in _SYNTAX_ONLY_READERS and (
+                    called in ("isfinite", "set", "dict", "_index_ids")
+                    or isinstance(node, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp))
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}: record rule in {scope.name}")
+    assert offenders == []
+    assert {"QuerySet", "EmbeddingSet", *_SYNTAX_ONLY_READERS} <= defined

@@ -238,6 +238,22 @@ class TestRestrainInterpolation:
         assert splits[1].training_ids[:20] == splits[0].training_ids
         assert splits[2].training_ids[:50] == splits[1].training_ids
 
+    def test_split_independent_of_include_depth(self, rng):
+        # include_depth only sets the first scan's depth: exact top-D is a
+        # prefix of top-D' for D < D', so the round-robin union is the same
+        train_emb = random_embeddings(rng, "t", 300, 8)
+        test_emb = random_embeddings(rng, "q", 12, 8)
+        train, test = make_queries(train_emb.ids), make_queries(test_emb.ids)
+        for size in (10, 40, 170, 300):
+            splits = {
+                restrain_interpolation(
+                    train, test, train_emb, test_emb, ReSTrainConfig(target_size=size, include_depth=depth)
+                ).training_ids
+                for depth in (1, 3, 17, 60, 400)
+            }
+            assert len(splits) == 1
+            assert len(splits.pop()) == size
+
     def test_target_too_large_rejected(self, rng):
         train_emb = random_embeddings(rng, "t", 5, 2)
         test_emb = random_embeddings(rng, "q", 2, 2)
