@@ -245,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test-queries", required=True)
     p.add_argument("--train-emb", required=True)
     p.add_argument("--test-emb", required=True)
-    p.add_argument("-I", "--include-depth", type=int, default=None, help="depth of the first kNN scan (interpolation; the split does not depend on it); defaults to -E")
+    p.add_argument("-I", "--include-depth", type=int, default=None, help="lower bound on the depth of the kNN scan (interpolation; the split does not depend on it); defaults to -E")
     p.add_argument("-E", "--exclude-depth", type=int, default=None, help="neighbors excluded per test query (extrapolation); defaults to -I")
     p.add_argument("--size", type=int, required=True, help="target training set size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -48,6 +48,17 @@ _BLOCK_ELEMENTS = 48 * 1024
 # rows per block of the assignment screen: per GEMM call, and per block of
 # its float64 per-pair temporaries
 _SCREEN_ROWS = 4096
+# restrain_interpolation's one kNN scan goes past each test query's even
+# share ceil(size / n_test) of the union, because overlapping neighborhoods
+# shrink the union below n_test x depth: to 4 shares in all (the fewest that
+# reached the size in one scan on both overlapping inputs measured, 12k x 600
+# and 200k x 1k; 2 shares needed a second scan), and by at most
+# n_train / 512 ranks. Rescoring a pair in float64 costs about as much as
+# screening 350 in float32 (768 dims, 2 cores), so the extra depth costs at
+# most about two thirds of the rescan it saves: inputs whose union one share
+# fills, such as a few test queries in distinct topics, pay little for it
+_SCAN_SHARES = 4
+_SCAN_TRAIN_ROWS_PER_EXTRA_RANK = 512
 
 
 @dataclass(frozen=True)
@@ -386,8 +397,10 @@ def restrain_interpolation(
     """Training set = nearest training queries of the test set, exactly target_size.
 
     Per-test neighbor lists are merged in round-robin rank order and
-    deduplicated; the list is deepened as needed, so for a fixed config a
-    smaller target yields a prefix of a larger one.
+    deduplicated. The union is rank-major and exact top-D is a prefix of
+    top-D' for D < D', so the union at any depth is a prefix of the union
+    at a deeper one: the split depends neither on the scan depth nor on
+    include_depth, and a smaller target yields a prefix of a larger one.
     """
     if len(test) == 0:
         raise DataError("test set is empty")
@@ -398,17 +411,24 @@ def restrain_interpolation(
         )
     tr = train_emb.subset(train.ids)
     te = test_emb.subset(test.ids)
-    depth = min(n_train, max(cfg.include_depth, math.ceil(cfg.target_size / len(test))))
+    share = math.ceil(cfg.target_size / len(test))
+    extra = min((_SCAN_SHARES - 1) * share, n_train // _SCAN_TRAIN_ROWS_PER_EXTRA_RANK)
+    # one list of depth target_size holds target_size distinct ids, so no
+    # scan needs to go deeper than that
+    depth = min(n_train, max(cfg.include_depth, min(cfg.target_size, share + extra)))
+    scans = 0
     while True:
         lists = knn(te, tr, depth, measure=cfg.measure)
+        scans += 1
         seq = _round_robin_union(lists)
         if len(seq) >= cfg.target_size:
             break
-        if depth >= n_train:
-            raise DataError(
-                f"only {len(seq)} training queries reachable; need {cfg.target_size}"
-            )
-        depth = min(n_train, depth * 2)
+        # short, so depth < target_size <= n_train
+        depth = min(cfg.target_size, depth * 2)
+    logger.info(
+        "restrain inter: depth %d, %d knn scan(s), union of %d for size %d",
+        depth, scans, len(seq), cfg.target_size,
+    )
     return SplitSpec(
         regime="interpolation",
         training_ids=tuple(seq[: cfg.target_size]),

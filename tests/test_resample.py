@@ -26,6 +26,7 @@ from xtrap.resample import (
     resttest_split,
     write_manifest,
 )
+from xtrap.simindex import knn
 
 
 def blob_points(rng, centers, per_blob, dim, spread=0.5, prefix="p"):
@@ -253,6 +254,72 @@ class TestRestrainInterpolation:
             }
             assert len(splits) == 1
             assert len(splits.pop()) == size
+
+    @staticmethod
+    def _split_and_scans(monkeypatch, train_emb, test_emb, size):
+        depths = []
+
+        def counting_knn(test, train, k, measure):
+            depths.append(k)
+            return knn(test, train, k, measure=measure)
+
+        monkeypatch.setattr("xtrap.resample.knn", counting_knn)
+        split = restrain_interpolation(
+            make_queries(train_emb.ids),
+            make_queries(test_emb.ids),
+            train_emb,
+            test_emb,
+            ReSTrainConfig(target_size=size),
+        )
+        return list(split.training_ids), depths
+
+    def test_one_scan_when_four_shares_reach_size(self, rng, monkeypatch):
+        # 20 nearby test queries share neighbors: the union of their top-2
+        # (the share 40 / 20) or top-4 falls short of 40, the union of their
+        # top-8 does not, and 4,096 training rows allow 6 ranks past the share
+        train_emb = random_embeddings(rng, "t", 4096, 8)
+        test_emb = make_embeddings(
+            [f"q{i:02d}" for i in range(20)], 1.0 + 0.5 * rng.normal(size=(20, 8))
+        )
+        oracle = neighbor_id_lists(test_emb, train_emb, 64)
+        assert len(oracles.round_robin_union([lst[:4] for lst in oracle], 40)) < 40
+        assert len(oracles.round_robin_union([lst[:8] for lst in oracle], 40)) == 40
+        got, depths = self._split_and_scans(monkeypatch, train_emb, test_emb, 40)
+        assert depths == [8]
+        assert got == oracles.round_robin_union(oracle, 40)
+
+    def test_extra_depth_is_capped_by_training_size(self, rng, monkeypatch):
+        # q and -q have disjoint top-50 lists, so their share of 100 fills
+        # it; 1,024 training rows allow 2 ranks past the share, not 150
+        train_emb = random_embeddings(rng, "t", 1024, 4)
+        q = rng.normal(size=4)
+        test_emb = make_embeddings(["q0", "q1"], [q, -q])
+        got, depths = self._split_and_scans(monkeypatch, train_emb, test_emb, 100)
+        assert depths == [52]
+        assert got == oracles.round_robin_union(neighbor_id_lists(test_emb, train_emb, 52), 100)
+
+    def test_one_test_query_scans_to_size(self, rng, monkeypatch):
+        # one list of depth size already holds size ids: the rank past the
+        # share that 600 training rows allow is not scanned
+        train_emb = random_embeddings(rng, "t", 600, 4)
+        test_emb = random_embeddings(rng, "q", 1, 4)
+        got, depths = self._split_and_scans(monkeypatch, train_emb, test_emb, 30)
+        assert depths == [30]
+        assert got == neighbor_id_lists(test_emb, train_emb, 30)[0]
+
+    def test_identical_test_queries_rescan_and_log(self, rng, monkeypatch, caplog):
+        # 10 copies of one query have one neighbor list, so the union at the
+        # share ceil(50 / 10) = 5 holds 5 ids (200 training rows allow no
+        # rank past it): the depth doubles up to the size
+        train_emb = random_embeddings(rng, "t", 200, 6)
+        test_emb = make_embeddings([f"q{i}" for i in range(10)], np.tile(rng.normal(size=6), (10, 1)))
+        with caplog.at_level("INFO", logger="xtrap.resample"):
+            got, depths = self._split_and_scans(monkeypatch, train_emb, test_emb, 50)
+        assert depths == [5, 10, 20, 40, 50]
+        assert got == oracles.round_robin_union(neighbor_id_lists(test_emb, train_emb, 200), 50)
+        assert [r.getMessage() for r in caplog.records if r.name == "xtrap.resample"] == [
+            "restrain inter: depth 50, 5 knn scan(s), union of 50 for size 50"
+        ]
 
     def test_target_too_large_rejected(self, rng):
         train_emb = random_embeddings(rng, "t", 5, 2)

@@ -126,6 +126,44 @@ class TestKnn:
                 assert [n for n, _ in nl.neighbors] == [n for n, _ in expected]
                 assert [s for _, s in nl.neighbors] == [s for _, s in expected]
 
+    def test_partitions_whole_block_only_until_floor_is_finite(self, rng, monkeypatch):
+        # four 50-row blocks: the first raises every floor to a finite value,
+        # and the later three raise it from their screen survivors alone
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 50 * 6)
+        widths = []
+
+        def counting_top_k(scores, k):
+            # score blocks are float32; the merges of lower bounds are float64
+            if scores.dtype == np.float32:
+                widths.append(scores.shape[1])
+            return _top_k(scores, k)
+
+        monkeypatch.setattr("xtrap.simindex._top_k", counting_top_k)
+        train = random_embeddings(rng, "t", 200, 5)
+        test = random_embeddings(rng, "q", 6, 5)
+        for measure in MEASURES:
+            widths.clear()
+            got = knn(test, train, 4, measure=measure)
+            assert widths == [50]
+            want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, 4, measure)
+            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
+
+    def test_whole_later_blocks_raising_the_floor(self, rng, monkeypatch):
+        # training rows ascend along the queries' direction, so each later
+        # 50-row block raises every floor with more than k of its columns
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 50 * 6)
+        matrix = rng.normal(size=(200, 5))
+        train = make_embeddings([f"t{i:03d}" for i in range(200)], matrix[np.argsort(matrix[:, 0])])
+        queries = rng.normal(scale=0.1, size=(6, 5))
+        queries[:, 0] = 1.0
+        test = make_embeddings([f"q{i}" for i in range(6)], queries)
+        for measure in MEASURES:
+            got = knn(test, train, 4, measure=measure)
+            want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, 4, measure)
+            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
+
     def test_float32_tie_is_separated_in_float64(self):
         # q.t_b = 1 + 2^-24 rounds to 1 = q.t_a in float32; only the float64
         # rescore puts t_b, the larger id, first
