@@ -90,16 +90,15 @@ def relevant_overlap(
     if not test_ids:
         raise DataError("test qrels are empty")
     train_relevant = {docid for _, docid, rel in train_qrels.pairs() if rel >= 1}
-    rows = []
-    for th in thresholds:
-        count = 0
-        for qid in test_ids:
-            for docid, rel in test_qrels.docs(qid).items():
-                if th.matches(rel) and docid in train_relevant:
-                    count += 1
-                    break
-        rows.append(OverlapRow(threshold=th, count=count, total=len(test_ids)))
-    return OverlapReport(rows=tuple(rows))
+    counts = [0] * len(thresholds)
+    for qid in test_ids:
+        # the test grades of the query's docs that are relevant in training
+        shared = [rel for docid, rel in test_qrels.docs(qid).items() if docid in train_relevant]
+        for i, th in enumerate(thresholds):
+            counts[i] += any(th.matches(rel) for rel in shared)
+    return OverlapReport(
+        rows=tuple(OverlapRow(threshold=th, count=c, total=len(test_ids)) for th, c in zip(thresholds, counts))
+    )
 
 
 def write_overlap_report(report: OverlapReport, path) -> None:
@@ -166,19 +165,54 @@ def _tie_term(values: np.ndarray) -> float:
     return float((counts * (counts - 1) // 2).sum())
 
 
+def _discordant_pairs(y: np.ndarray) -> int:
+    """Pairs i < j with y[i] > y[j], by bottom-up merge counting.
+
+    Each of the log2(n) passes merges sorted blocks of `width` values
+    pairwise. A value's dense rank plus n times its pair's index is a key
+    that keeps the left halves in one sorted array, so one `searchsorted`
+    counts, for every value of a right half, the larger values of its left
+    half; a stable sort of the keys then merges each pair.
+    """
+    n = len(y)
+    _, rank = np.unique(y, return_inverse=True)
+    rank = rank.astype(np.int64)
+    position = np.arange(n)
+    discordant = 0
+    width = 1
+    while width < n:
+        pair = position // (2 * width)
+        key = rank + pair * n
+        left = (position // width) % 2 == 0
+        left_keys, right_keys, right_pair = key[left], key[~left], pair[~left]
+        at_most = np.searchsorted(left_keys, right_keys, side="right")
+        through_pair = np.searchsorted(left_keys, (right_pair + 1) * n, side="left")
+        discordant += int((through_pair - at_most).sum())
+        rank = np.sort(key, kind="stable") - pair * n
+        width *= 2
+    return discordant
+
+
 def kendall_tau_b(pairs: PairedScores) -> float:
-    """Tau-b: (concordant - discordant) normalized with tie corrections."""
+    """Tau-b: (concordant - discordant) normalized with tie corrections.
+
+    Knight's merge-sort algorithm (Knight 1966, JASA 61:436): sorted by
+    (x, y), the discordant pairs are the inversions of y, and C - D follows
+    exactly, as an integer, from them and the tie counts.
+    """
     x, y = _check_pairs(pairs)
     n = len(x)
-    # one row of the pair matrix at a time keeps memory O(n); the sum is an
-    # integer, so the order of accumulation cannot change it
-    concordant_minus_discordant = 0.0
-    for i in range(n - 1):
-        concordant_minus_discordant += float(
-            (np.sign(x[i + 1 :] - x[i]) * np.sign(y[i + 1 :] - y[i])).sum()
-        )
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    # lengths of the runs of equal (x, y), which the sort made contiguous
+    runs = np.diff(np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]))
+    tied_both = int((runs * (runs - 1) // 2).sum())
+    tied_x, tied_y = _tie_term(x), _tie_term(y)
+    concordant_minus_discordant = (
+        n * (n - 1) // 2 - int(tied_x) - int(tied_y) + tied_both - 2 * _discordant_pairs(y)
+    )
     n0 = n * (n - 1) / 2.0
-    denom = math.sqrt((n0 - _tie_term(x)) * (n0 - _tie_term(y)))
+    denom = math.sqrt((n0 - tied_x) * (n0 - tied_y))
     if denom == 0.0:
         raise DataError("undefined correlation: all values tied in a coordinate")
     return concordant_minus_discordant / denom

@@ -133,8 +133,11 @@ def cmd_aggregate(args) -> int:
         raise dataio.DataError(
             f"{args.manifest} is a {fold_spec.regime} split manifest, not a resttest fold manifest"
         )
-    runs = [dataio.parse_run(path) for path in args.runs]
-    report = resample.resttest_aggregate(runs, fold_spec, dataio.parse_qrels(args.qrels), spec)
+    if len(args.runs) != fold_spec.k:
+        raise dataio.DataError(f"expected {fold_spec.k} fold runs, got {len(args.runs)}")
+    qrels = dataio.parse_qrels(args.qrels)
+    runs = (dataio.parse_run(path) for path in args.runs)
+    report = resample.resttest_aggregate(runs, fold_spec, qrels, spec)
     resample.write_aggregate_report(report, args.output)
     print(
         f"{report.label} over {len(report.per_query)} test queries: "

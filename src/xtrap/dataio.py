@@ -15,12 +15,22 @@ Formats handled here:
 All readers accept LF and CRLF line endings; writers emit LF only and go
 through :func:`atomic_output`, so an output file is either fully written or
 left as it was. Every parsed container is immutable after construction and
-safe to share across threads.
+safe to share across threads. Text files are read in blocks of about 1 MiB
+of whole lines, split on ``\\n`` only.
 
-Query and embedding readers check syntax only; :class:`QuerySet` and
-:class:`EmbeddingSet` check the record rules (unique whitespace-free ids,
-finite components). A reader re-raises their error at the record's
-``path:line``, or for EVEC at the path with the record in the message.
+Readers check syntax (field counts, numbers, UTF-8, the EVEC layout); the
+containers check the record rules:
+
+- :class:`QuerySet`, :class:`EmbeddingSet`: unique whitespace-free ids;
+  :class:`EmbeddingSet` also finite components
+- :class:`QrelSet`: non-negative grades (a repeated pair keeps its last grade)
+- :class:`RunSet`: one record per (query, doc) pair, finite scores
+
+A reader re-raises a container's error at the record's ``path:line``, or for
+EVEC at the path with the record in the message. The run and qrels readers
+hand each record to the container as it is read, so the first failing line
+is the one reported, whichever rule it breaks. The run reader rejects a
+non-finite score field itself, so that the message quotes the field.
 """
 
 from __future__ import annotations
@@ -34,7 +44,9 @@ import re
 import stat
 import struct
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from types import MappingProxyType
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -125,12 +137,12 @@ class DataError(ValueError):
 
 
 @contextlib.contextmanager
-def _located(path, lines: Sequence[int] | None = None) -> Iterator[None]:
-    """Re-raise a container's DataError as a ParseError at its record's line in `lines`."""
+def _located(path, line_of: Callable[[int], int] | None = None) -> Iterator[None]:
+    """Re-raise a container's DataError as a ParseError at line `line_of(record)`."""
     try:
         yield
     except DataError as e:
-        line = lines[e.record] if lines is not None and e.record is not None else None
+        line = line_of(e.record) if line_of is not None and e.record is not None else None
         raise ParseError(path, str(e), line) from e
 
 
@@ -146,23 +158,48 @@ def _index_ids(ids: Sequence[str], kind: str) -> dict[str, int]:
     return index
 
 
+# bytes read per block; a block is completed to the end of its last line
+_BLOCK_BYTES = 1 << 20
+# blank lines, which readers skip: empty, or a lone "\r" of a CRLF ending
+_BLANK = ("", "\r")
+
+
+def _iter_blocks(path) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based number of the first line, lines) over blocks of whole lines.
+
+    Lines are split on ``\\n`` only and keep a trailing ``\\r``. Invalid UTF-8
+    raises ParseError at its line, after the lines before it were yielded.
+    """
+    with open(path, "rb") as f:
+        first = 1
+        while block := f.read(_BLOCK_BYTES) + f.readline():
+            try:
+                text, bad = block.decode("utf-8"), b""
+            except UnicodeDecodeError as e:
+                cut = block.rfind(b"\n", 0, e.start) + 1
+                text, bad = block[:cut].decode("utf-8"), block[cut:].split(b"\n", 1)[0]
+            lines = text.split("\n")
+            if not lines[-1]:  # the empty text after a final "\n"
+                lines.pop()
+            yield first, lines
+            first += len(lines)
+            if bad:
+                # decoded alone, the line fails too, at its own offset
+                try:
+                    bad.removesuffix(b"\r").decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ParseError(path, f"invalid UTF-8: {e}", first) from e
+
+
 def _iter_lines(path) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line) with terminators removed.
 
     Blank lines are skipped; invalid UTF-8 raises ParseError.
     """
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            if raw.endswith(b"\n"):
-                raw = raw[:-1]
-            if raw.endswith(b"\r"):
-                raw = raw[:-1]
-            if not raw:
-                continue
-            try:
-                yield lineno, raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(path, f"invalid UTF-8: {e}", lineno) from e
+    for first, lines in _iter_blocks(path):
+        for lineno, line in enumerate(lines, first):
+            if line not in _BLANK:
+                yield lineno, line.removesuffix("\r")
 
 
 @dataclass(frozen=True)
@@ -204,37 +241,45 @@ class QuerySet:
 class QrelSet:
     """Graded relevance judgments keyed by (query id, doc id).
 
-    At most one grade per pair; when built from records the last one wins
-    and the overwrite is counted in :attr:`overwrites`.
+    Grades must be non-negative. At most one grade per pair; when built from
+    records the last one wins and the overwrite is counted in
+    :attr:`overwrites`.
     """
 
     def __init__(self, grades: Mapping[str, Mapping[str, int]], overwrites: int = 0):
-        store: dict[str, dict[str, int]] = {}
-        for qid, docs in grades.items():
-            for docid, rel in docs.items():
-                if rel < 0:
-                    raise DataError(f"negative relevance grade for ({qid}, {docid})")
-            store[qid] = dict(docs)
-        self._grades = store
+        self._grades: dict[str, dict[str, int]] = {qid: {} for qid in grades}
+        self._add((qid, docid, rel) for qid, docs in grades.items() for docid, rel in docs.items())
         self.overwrites = overwrites
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[str, str, int]]) -> "QrelSet":
-        grades: dict[str, dict[str, int]] = {}
+        """Group (query id, doc id, grade) records in one pass; a negative
+        grade is a DataError at its record, raised before the next is read."""
+        qrels = cls({})
+        qrels.overwrites = qrels._add(records)
+        return qrels
+
+    def _add(self, records: Iterable[tuple[str, str, int]]) -> int:
+        """Store each record over any earlier grade; returns the overwrites."""
+        grades = self._grades
         overwrites = 0
-        for qid, docid, rel in records:
-            per_query = grades.setdefault(qid, {})
-            if docid in per_query:
+        for pos, (qid, docid, rel) in enumerate(records):
+            if rel < 0:
+                raise DataError(f"negative relevance grade {rel}", pos)
+            docs = grades.get(qid)
+            if docs is None:
+                docs = grades[qid] = {}
+            elif docid in docs:
                 overwrites += 1
-            per_query[docid] = rel
-        return cls(grades, overwrites=overwrites)
+            docs[docid] = rel
+        return overwrites
 
     def query_ids(self) -> tuple[str, ...]:
         return tuple(self._grades)
 
     def docs(self, query_id: str) -> Mapping[str, int]:
-        """Per-query view: doc id -> grade (empty if the query is unknown)."""
-        return dict(self._grades.get(query_id, {}))
+        """Read-only view: doc id -> grade (empty if the query is unknown)."""
+        return MappingProxyType(self._grades.get(query_id, {}))
 
     def pairs(self) -> Iterator[tuple[str, str, int]]:
         """Iterate all (query id, doc id, grade) triples without copying."""
@@ -261,23 +306,23 @@ class QrelSet:
 class RunSet:
     """Ranked retrieval results per query.
 
+    A (query, doc) pair appears at most once and every score is finite.
     Rankings are canonicalized at construction: sorted by descending score,
     ties broken by ascending doc id, independent of input order.
     """
 
-    def __init__(self, rankings: Mapping[str, Sequence[tuple[str, float]]], tag: str | None = None):
-        store: dict[str, tuple[tuple[str, float], ...]] = {}
-        for qid, entries in rankings.items():
-            seen: set[str] = set()
-            for docid, score in entries:
-                if docid in seen:
-                    raise DataError(f"duplicate doc {docid} for query {qid}")
-                if not math.isfinite(score):
-                    raise DataError(f"non-finite score for ({qid}, {docid})")
-                seen.add(docid)
-            store[qid] = tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
-        self._rankings = store
+    def __init__(self, rankings: Mapping[str, Iterable[tuple[str, float]]], tag: str | None = None):
+        records = itertools.chain.from_iterable(zip(itertools.repeat(qid), e) for qid, e in rankings.items())
+        self._rankings = _rank_records(records, {qid: {} for qid in rankings})
         self.tag = tag
+
+    @classmethod
+    def from_records(cls, records: Iterable[tuple[str, tuple[str, float]]], tag: str | None = None) -> "RunSet":
+        """Group (query id, (doc id, score)) records in one pass; a repeated
+        pair is a DataError at its record, raised before the next is read."""
+        run = cls({}, tag)
+        run._rankings = _rank_records(records, {})
+        return run
 
     def query_ids(self) -> tuple[str, ...]:
         return tuple(self._rankings)
@@ -293,6 +338,30 @@ class RunSet:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RunSet) and self._rankings == other._rankings
+
+
+def _rank_records(records: Iterable[tuple[str, tuple[str, float]]], grouped: dict) -> dict[str, tuple]:
+    """Group records into `grouped`'s per-query {doc id: entry} dicts, which
+    are the duplicate check, checking each record before the next is read;
+    then order each query by descending score, ties by ascending doc id."""
+    isfinite = math.isfinite
+    for pos, (qid, entry) in enumerate(records):
+        docid, score = entry
+        docs = grouped.get(qid)
+        if docs is None:
+            docs = grouped[qid] = {}
+        elif docid in docs:
+            raise DataError(f"duplicate (query, doc) pair ({qid}, {docid})", pos)
+        if not isfinite(score):
+            raise DataError(f"non-finite score for ({qid}, {docid})", pos)
+        docs[docid] = entry
+    ranked = {}
+    for qid, docs in grouped.items():
+        # two stable sorts on C-level keys: doc id, then score descending
+        entries = sorted(docs.values(), key=itemgetter(0))
+        entries.sort(key=itemgetter(1), reverse=True)
+        ranked[qid] = tuple(entries)
+    return ranked
 
 
 class EmbeddingSet:
@@ -369,7 +438,7 @@ def parse_queries(path) -> QuerySet:
             raise ParseError(path, "expected 'id<TAB>text'", lineno)
         queries.append(Query(*line.split("\t", 1)))
         lines.append(lineno)
-    with _located(path, lines):
+    with _located(path, lines.__getitem__):
         return QuerySet(queries)
 
 
@@ -381,23 +450,31 @@ def write_queries(queries: QuerySet, path) -> None:
 
 def parse_qrels(path) -> QrelSet:
     """Read ``qid 0 docid rel`` records; later duplicates overwrite with a warning."""
-    records: list[tuple[str, str, int]] = []
     oversized = 0
-    for lineno, line in _iter_lines(path):
-        fields = line.split()
-        if len(fields) != 4:
-            raise ParseError(path, f"expected 'qid 0 docid rel' (4 fields), got {len(fields)}", lineno)
-        qid, _, docid, rel_s = fields
-        try:
-            rel = int(rel_s)
-        except ValueError:
-            raise ParseError(path, f"relevance grade must be an integer, got {rel_s!r}", lineno) from None
-        if rel < 0:
-            raise ParseError(path, f"negative relevance grade {rel}", lineno)
-        if rel > 3:
-            oversized += 1
-        records.append((qid, docid, rel))
-    qrels = QrelSet.from_records(records)
+    lineno = 0
+
+    def records() -> Iterator[tuple[str, str, int]]:
+        nonlocal oversized, lineno
+        for first, lines in _iter_blocks(path):
+            for lineno, line in enumerate(lines, first):
+                fields = line.split()
+                if len(fields) != 4:
+                    if line in _BLANK:
+                        continue
+                    raise ParseError(path, f"expected 'qid 0 docid rel' (4 fields), got {len(fields)}", lineno)
+                qid, _, docid, rel_s = fields
+                try:
+                    rel = int(rel_s)
+                except ValueError:
+                    message = f"relevance grade must be an integer, got {rel_s!r}"
+                    raise ParseError(path, message, lineno) from None
+                if rel > 3:
+                    oversized += 1
+                yield qid, docid, rel
+
+    # the container checks each record before the next line is read
+    with _located(path, lambda record: lineno):
+        qrels = QrelSet.from_records(records())
     if qrels.overwrites:
         logger.warning("%s: %d duplicate (query, doc) pairs; later records win", path, qrels.overwrites)
     if oversized:
@@ -405,58 +482,81 @@ def parse_qrels(path) -> QrelSet:
     return qrels
 
 
+def _check_pairs_serializable(qid: str, docids: Sequence[str]) -> None:
+    """Raise at the first (qid, doc id) pair, in `docids` order, that is not two tokens."""
+    if docids and (_bad_id(qid) or not all(docids) or _WS.search("".join(docids))):
+        docid = next(d for d in docids if _bad_id(qid) or _bad_id(d))
+        raise DataError(f"cannot serialize ({qid!r}, {docid!r}): ids must be whitespace-free tokens")
+
+
 def write_qrels(qrels: QrelSet, path) -> None:
     with atomic_output(path) as f:
         for qid in qrels.query_ids():
-            for docid, rel in qrels.docs(qid).items():
-                if _bad_id(qid) or _bad_id(docid):
-                    raise DataError(f"cannot serialize ({qid!r}, {docid!r}): ids must be whitespace-free tokens")
-                f.write(f"{qid} 0 {docid} {rel}\n")
+            docs = qrels.docs(qid)
+            _check_pairs_serializable(qid, list(docs))
+            f.write("".join([f"{qid} 0 {docid} {rel}\n" for docid, rel in docs.items()]))
 
 
 def parse_run(path) -> RunSet:
     """Read a TREC run file; ranking order is re-derived from the scores."""
-    rankings: dict[str, list[tuple[str, float]]] = {}
-    file_order: dict[str, list[tuple[int, float]]] = {}
-    seen: set[tuple[str, str]] = set()
+    # per query, the rank and score of each line in file order: rank, score, rank, ...
+    file_order: dict[str, list] = {}
     tag: str | None = None
-    for lineno, line in _iter_lines(path):
-        fields = line.split()
-        if len(fields) != 6:
-            raise ParseError(
-                path, f"expected 'qid Q0 docid rank score tag' (6 fields), got {len(fields)}", lineno
-            )
-        qid, _, docid, rank_s, score_s, line_tag = fields
-        try:
-            rank = int(rank_s)
-        except ValueError:
-            raise ParseError(path, f"rank must be an integer, got {rank_s!r}", lineno) from None
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None
-        if not math.isfinite(score):
-            raise ParseError(path, f"non-finite score {score_s}", lineno)
-        if (qid, docid) in seen:
-            raise ParseError(path, f"duplicate (query, doc) pair ({qid}, {docid})", lineno)
-        seen.add((qid, docid))
-        if tag is None:
-            tag = line_tag
-        rankings.setdefault(qid, []).append((docid, score))
-        file_order.setdefault(qid, []).append((rank, score))
-    contradictions = 0
-    for qid, entries in file_order.items():
-        by_rank = sorted(range(len(entries)), key=lambda i: entries[i][0])
-        scores = [entries[i][1] for i in by_rank]
-        if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
-            contradictions += 1
+    lineno = 0
+
+    def records() -> Iterator[tuple[str, tuple[str, float]]]:
+        nonlocal tag, lineno
+        isfinite = math.isfinite
+        for first, lines in _iter_blocks(path):
+            for lineno, line in enumerate(lines, first):
+                fields = line.split()
+                if len(fields) != 6:
+                    if line in _BLANK:
+                        continue
+                    raise ParseError(
+                        path, f"expected 'qid Q0 docid rank score tag' (6 fields), got {len(fields)}", lineno
+                    )
+                qid, _, docid, rank_s, score_s, line_tag = fields
+                try:
+                    rank = int(rank_s)
+                except ValueError:
+                    raise ParseError(path, f"rank must be an integer, got {rank_s!r}", lineno) from None
+                try:
+                    score = float(score_s)
+                except ValueError:
+                    raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None
+                if not isfinite(score):
+                    raise ParseError(path, f"non-finite score {score_s}", lineno)
+                order = file_order.get(qid)
+                if order is None:
+                    file_order[qid] = [rank, score]
+                    if tag is None:
+                        tag = line_tag
+                else:
+                    order.append(rank)
+                    order.append(score)
+                yield qid, (docid, score)
+
+    # the container checks each record before the next line is read
+    with _located(path, lambda record: lineno):
+        run = RunSet.from_records(records())
+    run.tag = tag  # the first line's, known once the records were read
+    contradictions = sum(_ranks_contradict_scores(order[::2], order[1::2]) for order in file_order.values())
     if contradictions:
         logger.warning(
             "%s: rank field contradicts score order for %d queries; ranks re-derived from scores",
             path,
             contradictions,
         )
-    return RunSet(rankings, tag=tag)
+    return run
+
+
+def _ranks_contradict_scores(ranks: list[int], scores: list[float]) -> bool:
+    """Whether the scores, in rank order (file order among equal ranks), ever rise."""
+    if ranks != sorted(ranks):
+        scores = [score for _, score in sorted(zip(ranks, scores), key=itemgetter(0))]
+    # a list is non-increasing exactly when it equals its stable descending sort
+    return scores != sorted(scores, reverse=True)
 
 
 def write_run(run: RunSet, path, tag: str | None = None) -> None:
@@ -466,10 +566,10 @@ def write_run(run: RunSet, path, tag: str | None = None) -> None:
         raise DataError(f"run tag must be a whitespace-free token, got {tag!r}")
     with atomic_output(path) as f:
         for qid in run.query_ids():
-            for rank, (docid, score) in enumerate(run.ranking(qid), start=1):
-                if _bad_id(qid) or _bad_id(docid):
-                    raise DataError(f"cannot serialize ({qid!r}, {docid!r}): ids must be whitespace-free tokens")
-                f.write(f"{qid} Q0 {docid} {rank} {score!r} {tag}\n")
+            ranking = run.ranking(qid)
+            _check_pairs_serializable(qid, [docid for docid, _ in ranking])
+            head, tail = f"{qid} Q0 ", f" {tag}\n"
+            f.write("".join([f"{head}{d} {rank} {score!r}{tail}" for rank, (d, score) in enumerate(ranking, 1)]))
 
 
 def _binary_error(path, offset: int, message: str) -> ParseError:
@@ -559,7 +659,7 @@ def _read_embeddings_tsv(path) -> EmbeddingSet:
         lines.append(lineno)
     if not rows:
         raise ParseError(path, "no embedding records found")
-    with _located(path, lines):
+    with _located(path, lines.__getitem__):
         return EmbeddingSet(ids, np.vstack(rows))
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -521,15 +521,22 @@ class AggregateReport:
 
 
 def resttest_aggregate(
-    fold_runs: Sequence[RunSet],
+    fold_runs: Iterable[RunSet],
     fold_spec: FoldSpec,
     qrels: QrelSet,
     spec: MetricSpec,
 ) -> AggregateReport:
-    """Score every fold's run and combine per the leave-one-bucket-out protocol."""
-    if len(fold_runs) != fold_spec.k:
-        raise DataError(f"expected {fold_spec.k} fold runs, got {len(fold_runs)}")
-    reports = [score_run(run, qrels, spec) for run in fold_runs]
+    """Score every fold's run and combine per the leave-one-bucket-out protocol.
+
+    Each run is scored and released before the next one is taken from
+    `fold_runs`, so a generator of parsed runs holds one run at a time.
+    """
+    reports = []
+    for run in fold_runs:
+        reports.append(score_run(run, qrels, spec))
+        del run
+    if len(reports) != fold_spec.k:
+        raise DataError(f"expected {fold_spec.k} fold runs, got {len(reports)}")
     bucket_of = fold_spec.bucket_of
     per_query: dict[str, tuple[float, float]] = {}
     skipped: list[str] = []

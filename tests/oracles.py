@@ -2,15 +2,25 @@
 
 Everything here is written directly from the definitions (full sorts,
 all-pairs enumeration, textbook formulas) and deliberately avoids the
-library's code paths, so agreement between the two is meaningful.
+library's code paths, so agreement between the two is meaningful. The
+exception is the section at the end: verbatim copies of replaced library
+code (the line-by-line run and qrels readers, the O(n^2) Kendall loop),
+kept so that their replacements can be checked against them.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import re
+from typing import Iterator
 
 import numpy as np
+
+from xtrap.analysis import DataError, _check_pairs, _tie_term
+from xtrap.dataio import ParseError, QrelSet, RunSet
+
+logger = logging.getLogger(__name__)
 
 
 def rank_docs(entries):
@@ -233,3 +243,116 @@ def kmeans_lloyd(mat, k, seed, max_iters=100, tol=1e-4, normalize=False):
         if shift < tol:
             break
     return assignment, centroids, history, iterations
+
+
+# Replaced library code, copied verbatim: the line-by-line run and qrels
+# readers (with `_iter_lines`), which build the library's containers, and
+# the O(n^2) Kendall tau-b loop.
+
+
+def _iter_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) with terminators removed.
+
+    Blank lines are skipped; invalid UTF-8 raises ParseError.
+    """
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            if raw.endswith(b"\n"):
+                raw = raw[:-1]
+            if raw.endswith(b"\r"):
+                raw = raw[:-1]
+            if not raw:
+                continue
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(path, f"invalid UTF-8: {e}", lineno) from e
+
+
+def parse_qrels(path) -> QrelSet:
+    """Read ``qid 0 docid rel`` records; later duplicates overwrite with a warning."""
+    records: list[tuple[str, str, int]] = []
+    oversized = 0
+    for lineno, line in _iter_lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError(path, f"expected 'qid 0 docid rel' (4 fields), got {len(fields)}", lineno)
+        qid, _, docid, rel_s = fields
+        try:
+            rel = int(rel_s)
+        except ValueError:
+            raise ParseError(path, f"relevance grade must be an integer, got {rel_s!r}", lineno) from None
+        if rel < 0:
+            raise ParseError(path, f"negative relevance grade {rel}", lineno)
+        if rel > 3:
+            oversized += 1
+        records.append((qid, docid, rel))
+    qrels = QrelSet.from_records(records)
+    if qrels.overwrites:
+        logger.warning("%s: %d duplicate (query, doc) pairs; later records win", path, qrels.overwrites)
+    if oversized:
+        logger.warning("%s: %d grades exceed 3 (expected 0-3 TREC DL or 0/1 MS MARCO style)", path, oversized)
+    return qrels
+
+
+def parse_run(path) -> RunSet:
+    """Read a TREC run file; ranking order is re-derived from the scores."""
+    rankings: dict[str, list[tuple[str, float]]] = {}
+    file_order: dict[str, list[tuple[int, float]]] = {}
+    seen: set[tuple[str, str]] = set()
+    tag: str | None = None
+    for lineno, line in _iter_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise ParseError(
+                path, f"expected 'qid Q0 docid rank score tag' (6 fields), got {len(fields)}", lineno
+            )
+        qid, _, docid, rank_s, score_s, line_tag = fields
+        try:
+            rank = int(rank_s)
+        except ValueError:
+            raise ParseError(path, f"rank must be an integer, got {rank_s!r}", lineno) from None
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(path, f"non-finite score {score_s}", lineno)
+        if (qid, docid) in seen:
+            raise ParseError(path, f"duplicate (query, doc) pair ({qid}, {docid})", lineno)
+        seen.add((qid, docid))
+        if tag is None:
+            tag = line_tag
+        rankings.setdefault(qid, []).append((docid, score))
+        file_order.setdefault(qid, []).append((rank, score))
+    contradictions = 0
+    for qid, entries in file_order.items():
+        by_rank = sorted(range(len(entries)), key=lambda i: entries[i][0])
+        scores = [entries[i][1] for i in by_rank]
+        if any(scores[i] < scores[i + 1] for i in range(len(scores) - 1)):
+            contradictions += 1
+    if contradictions:
+        logger.warning(
+            "%s: rank field contradicts score order for %d queries; ranks re-derived from scores",
+            path,
+            contradictions,
+        )
+    return RunSet(rankings, tag=tag)
+
+
+def kendall_tau_b_quadratic(pairs: PairedScores) -> float:
+    """Tau-b: (concordant - discordant) normalized with tie corrections."""
+    x, y = _check_pairs(pairs)
+    n = len(x)
+    # one row of the pair matrix at a time keeps memory O(n); the sum is an
+    # integer, so the order of accumulation cannot change it
+    concordant_minus_discordant = 0.0
+    for i in range(n - 1):
+        concordant_minus_discordant += float(
+            (np.sign(x[i + 1 :] - x[i]) * np.sign(y[i + 1 :] - y[i])).sum()
+        )
+    n0 = n * (n - 1) / 2.0
+    denom = math.sqrt((n0 - _tie_term(x)) * (n0 - _tie_term(y)))
+    if denom == 0.0:
+        raise DataError("undefined correlation: all values tied in a coordinate")
+    return concordant_minus_discordant / denom

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_embeddings
@@ -186,6 +188,38 @@ class TestKendall:
         pairs = [(f"m{i}", float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
         transformed = [(l, float(2 * x + 1), float(np.expm1(y))) for l, x, y in pairs]
         assert kendall_tau_b(transformed) == pytest.approx(kendall_tau_b(pairs), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]), st.sampled_from([-0.0, 0.0, 1.0, 2.0])),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    @example(pairs=[(0.0, 1.0), (-0.0, 2.0), (0.0, 1.0)])  # x all tied: undefined
+    @example(pairs=[(1.0, 0.0), (2.0, -0.0), (3.0, 0.0), (0.0, 1.0)])  # -0.0 ties with 0.0
+    def test_knight_is_bitwise_the_quadratic_loop(self, pairs):
+        labeled = [(f"m{i}", x, y) for i, (x, y) in enumerate(pairs)]
+        try:
+            expected = oracles.kendall_tau_b_quadratic(labeled)
+        except DataError as e:
+            with pytest.raises(DataError) as raised:
+                kendall_tau_b(labeled)
+            assert str(raised.value) == str(e)
+            return
+        got = kendall_tau_b(labeled)
+        assert got.hex() == expected.hex()
+        assert got == pytest.approx(oracles.kendall_brute(*zip(*pairs)), abs=1e-12)
+
+    def test_knight_matches_the_quadratic_loop_on_large_inputs(self, rng):
+        for n, levels in ((2, 2), (3, 1), (1000, 7), (4097, 40), (3000, 10**6)):
+            xs = rng.integers(0, levels, size=n).astype(float)
+            ys = (xs + rng.integers(0, levels, size=n)).astype(float)
+            if len(set(xs)) < 2 or len(set(ys)) < 2:
+                ys[0], xs[0] = ys[0] + 1.0, xs[0] + 1.0
+            pairs = [(f"m{i}", float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
+            assert kendall_tau_b(pairs).hex() == oracles.kendall_tau_b_quadratic(pairs).hex()
 
 
 class TestKappa:

@@ -232,6 +232,15 @@ class TestResttestAndAggregate:
                        "--runs", qrels, "--metric", "mrr@10", "-o", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_aggregate_counts_runs_before_reading_any(self, tmp_path, capsys):
+        manifest = write(tmp_path / "folds.txt", "#regime=resttest\n#k=2\n[training]\n[bucket 0]\nq0\n[bucket 1]\n")
+        qrels = write(tmp_path / "qrels.txt", "q0 0 d1 1\n")
+        missing = str(tmp_path / "no-such-run")
+        rc = cli.main(["aggregate", "--manifest", manifest, "--qrels", qrels,
+                       "--runs", missing, missing, missing, "--metric", "mrr@10", "-o", str(tmp_path / "o")])
+        assert rc == 2
+        assert "expected 2 fold runs, got 3" in capsys.readouterr().err
+
     def test_invalid_utf8_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "folds.txt"
         manifest.write_bytes(b"#regime=resttest\n#k=2\n[training]\n\xff\n")

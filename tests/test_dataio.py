@@ -1,17 +1,21 @@
 import ast
+import logging
 import os
 import stat
 import struct
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import xtrap
+from xtrap import dataio
 from xtrap.dataio import (
     EMBEDDING_MAGIC,
     DataError,
@@ -352,6 +356,32 @@ class TestContainers:
         with pytest.raises(DataError):
             QrelSet({"q": {"d": -1}})
 
+    def test_qrels_docs_is_a_read_only_view(self):
+        qrels = QrelSet.from_records([("q", "d1", 2), ("q", "d2", 0)])
+        docs = qrels.docs("q")
+        assert dict(docs) == {"d1": 2, "d2": 0}
+        with pytest.raises(TypeError):
+            docs["d3"] = 1
+        assert qrels.docs("unknown") == {}
+
+    def test_runset_keeps_queries_without_entries(self):
+        run = RunSet({"q2": [], "q1": [("b", 1.0), ("a", 1.0), ("c", 2.0)]}, tag="t")
+        assert run.query_ids() == ("q2", "q1")
+        assert run.ranking("q2") == ()
+        assert run.ranking("q1") == (("c", 2.0), ("a", 1.0), ("b", 1.0))
+        records = RunSet.from_records([("q1", ("b", 1.0)), ("q3", ("x", 0.0)), ("q1", ("a", 1.0)), ("q1", ("c", 2.0))])
+        assert records.ranking("q1") == run.ranking("q1")
+        assert records.query_ids() == ("q1", "q3")
+
+    def test_runset_names_the_first_bad_record(self):
+        records = [("q1", ("a", 1.0)), ("q2", ("a", 1.0)), ("q1", ("c", 0.0)), ("q1", ("a", 3.0)), ("q2", ("b", 1e999))]
+        with pytest.raises(DataError) as exc:
+            RunSet.from_records(records)
+        assert (str(exc.value), exc.value.record) == ("duplicate (query, doc) pair (q1, a)", 3)
+        with pytest.raises(DataError) as exc:
+            RunSet({"q1": [("a", 1.0), ("b", 1e308)], "q2": [("c", 1e308), ("d", float("nan"))]})
+        assert (str(exc.value), exc.value.record) == ("non-finite score for (q2, d)", 3)
+
     def test_embeddingset_validations(self):
         with pytest.raises(DataError):
             EmbeddingSet(["a", "a"], np.zeros((2, 2), dtype=np.float32))
@@ -394,6 +424,24 @@ class TestIdTokenRule:
         with pytest.raises(DataError):
             write_qrels(qrels, tmp_path / "q.txt")
 
+    @pytest.mark.parametrize("bad_qid", [False, True])
+    def test_writers_name_the_first_bad_pair_in_output_order(self, tmp_path, bad_qid):
+        qid = "q 1" if bad_qid else "q1"
+        docs = ["d1", "d2", "d 3", "", "d5"] if not bad_qid else ["d1", "d2"]
+        first_bad = "d1" if bad_qid else "d 3"
+        run = RunSet({"q0": [("d0", 9.0)], qid: [(d, 5.0 - i) for i, d in enumerate(docs)]})
+        qrels = QrelSet({"q0": {"d0": 1}, qid: {d: 1 for d in docs}})
+        for writer, container in ((write_run, run), (write_qrels, qrels)):
+            out = write_text(tmp_path, "out.txt", "old contents\n")
+            with pytest.raises(DataError) as exc:
+                writer(container, out)
+            assert str(exc.value) == f"cannot serialize ({qid!r}, {first_bad!r}): ids must be whitespace-free tokens"
+            assert out.read_bytes() == b"old contents\n"
+
+    def test_writers_skip_a_bad_query_id_without_pairs(self, tmp_path):
+        write_run(RunSet({"q 1": [], "q2": [("d1", 1.0)]}), tmp_path / "r.txt")
+        assert (tmp_path / "r.txt").read_text() == "q2 Q0 d1 1 1.0 xtrap\n"
+
     def test_write_run_rejects_bad_ids_and_tag(self, tmp_path):
         with pytest.raises(DataError):
             write_run(RunSet({"q1": [("d 1", 1.0)]}), tmp_path / "r.txt")
@@ -408,6 +456,8 @@ RULE_BREAKS = [
     (read_embeddings, "e.tsv", "a\t1 2\nb c\t3 4\n", "embedding id must be a non-empty token, got 'b c' (record 1)"),
     (read_embeddings, "e.tsv", "a\t1 2\na\t3 4\n", "duplicate embedding id a (records 0 and 1)"),
     (read_embeddings, "e.tsv", "a\t1 2\nb\t3 nan\n", "non-finite component in vector for id b"),
+    (parse_run, "r.txt", "q1 Q0 d1 1 2 t\nq1 Q0 d1 2 1 t\n", "duplicate (query, doc) pair (q1, d1)"),
+    (parse_qrels, "q.txt", "q1 0 d1 1\nq1 0 d2 -1\n", "negative relevance grade -1"),
 ]
 
 
@@ -507,6 +557,112 @@ def test_text_parsers_total(data):
                 pass
 
 
+# Line soups for the run and qrels readers: records from small pools (so that
+# pairs repeat, within a query and across its non-adjacent lines), odd but
+# valid numbers, and now and then a bad token, a wrong field count, a blank
+# or whitespace-only line, bad UTF-8, or whitespace that str.split() splits
+# on but that is no line break here.
+_SPACES = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+_RANKS = ["1", "2", "3", "10", "-1", "1_0", "+5", "\u0663"]
+_SCORES = ["1", "2.5", "-0.0", "0.0", "1e-3", "7", "+5", "1_0", "-2"]
+_BAD_TOKENS = ["nan", "NaN", "inf", "-Infinity", "1e999", "x", "1.5.2", "0x1", "-1"]
+_ODD_LINES = [b"", b"\r", b"\r\r", b" ", b"\t \r", b"\x85", b"\xff", b"\xe2\x82", b"q1 Q0 d\xc3 1 2 t", b"\xed\xa0\x80"]
+_QIDS, _DOCIDS = st.sampled_from(["q1", "q2", "q3"]), st.sampled_from([f"d{i}" for i in range(1, 10)])
+_RUN_FIELDS = st.tuples(_QIDS, st.sampled_from(["Q0", "0"]), _DOCIDS, st.sampled_from(_RANKS),
+                        st.sampled_from(_SCORES), st.sampled_from(["t", "run2"]))
+_QREL_FIELDS = st.tuples(_QIDS, st.just("0"), _DOCIDS, st.sampled_from(["0", "1", "2", "3", "7", "+5", "\u0663", "-1"]))
+
+
+@st.composite
+def _soups(draw, fields) -> bytes:
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+            continue
+        tokens = list(draw(fields))
+        if kind == 1:
+            tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["x"]
+        elif kind == 2:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+        gaps = draw(st.lists(st.sampled_from(_SPACES), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        line = gaps[0] * (kind == 3) + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+        lines.append((line if kind == 4 else line.rstrip(gaps[-1])).encode("utf-8"))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines), max_size=len(lines)))
+    soup = b"".join(line + end for line, end in zip(lines, ends))
+    return soup[: -len(ends[-1])] if lines and draw(st.booleans()) else soup
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def emit(self, record):
+        self.texts.append(record.getMessage())
+
+
+def _outcome(reader, path, *loggers):
+    """("ok", result, its tag, its overwrites, warnings) or ("error", message, line, warnings)."""
+    collect = _Warnings()
+    for name in loggers:
+        logging.getLogger(name).addHandler(collect)
+    try:
+        result = reader(path)
+    except ParseError as e:
+        return "error", str(e), e.line, collect.texts
+    finally:
+        for name in loggers:
+            logging.getLogger(name).removeHandler(collect)
+    return "ok", result, getattr(result, "tag", None), getattr(result, "overwrites", None), collect.texts
+
+
+def _same_as_line_reader(reader, oracle, soup, block):
+    with tempfile.NamedTemporaryFile(suffix=".txt") as f:
+        f.write(soup)
+        f.flush()
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block):
+            got = _outcome(reader, f.name, "xtrap.dataio")
+            lines = _outcome(lambda p: list(dataio._iter_lines(p)), f.name)
+        assert lines == _outcome(lambda p: list(oracles._iter_lines(p)), f.name)
+        expected = _outcome(oracle, f.name, oracles.__name__)
+    assert got == expected
+
+
+# block sizes: one byte (every line its own block, completed by readline), a few
+# bytes, and the default
+_BLOCKS = st.sampled_from([1, 2, 7, 64, dataio._BLOCK_BYTES])
+
+
+@settings(max_examples=300, deadline=None)
+@given(soup=_soups(_RUN_FIELDS), block=_BLOCKS)
+@example(soup=b"q1 Q0 d1 1 2.0 t\r\nq1 Q0 d2 2 1.0 t\r\n", block=7)
+@example(soup=b"\r\nq1 Q0 d1 1 2.0 t\n\r\r\n", block=1)
+@example(soup=b"q1 Q0 d1 1 2 t\n \t\nq1 Q0 d2 2 1 t\n", block=64)
+@example(soup="q1\x0bQ0\x1cd1\x851\xa02.0\u2028t\n".encode(), block=2)
+@example(soup=b"q1 Q0 d1 1 2.0\n\xff\n", block=1)
+@example(soup=b"q1 Q0 d1 1 2 t\nq2 Q0 d1 1 2 t\nq1 Q0 d1 3 1 t\n\xff", block=7)
+@example(soup=b"\xffq\nq1 Q0 d1 x 2 t\n", block=64)
+@example(soup=b"q1 Q0 d1 1_0 nan t\n", block=64)
+@example(soup=b"q1 Q0 d1 +5 inf t\n", block=64)
+@example(soup=b"q1 Q0 d1 1 -0.0 t\nq1 Q0 d2 2 0.0 t\nq1 Q0 d3 3 1_0 t\n", block=64)
+@example(soup=b"q1 Q0 d1 2 9 t\nq1 Q0 d2 1 1 t\nq2 Q0 d1 1 1 t\nq2 Q0 d2 1 2 t\nq3 Q0 d1 1 2 t\n", block=2)
+def test_run_reader_matches_line_reader(soup, block):
+    """The block reader gives the line-by-line reader's run, tag and warnings, or its error."""
+    _same_as_line_reader(parse_run, oracles.parse_run, soup, block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(soup=_soups(_QREL_FIELDS), block=_BLOCKS)
+@example(soup=b"q1 0 d1 -1\nq1 0 d2\n", block=64)
+@example(soup=b"q1 0 d1\nq1 0 d2 -1\n", block=64)
+@example(soup=b"q1 0 d1 1\nq2 0 d1 7\nq1 0 d1 +5\n\xe2\x82\n", block=1)
+def test_qrels_reader_matches_line_reader(soup, block):
+    """The block reader gives the line-by-line reader's qrels, overwrites and warnings, or its error."""
+    _same_as_line_reader(parse_qrels, oracles.parse_qrels, soup, block)
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.binary(max_size=200))
 @example(data=b"a\t1e39\n")
@@ -586,11 +742,12 @@ def test_only_atomic_output_opens_files_for_writing():
     assert offenders == []
 
 
-# where each record rule may be checked: the shared id check and the writers
-# (whose QrelSet and RunSet inputs are not checked for ids) apply _bad_id;
-# the query and embedding readers check syntax only
-_BAD_ID_CALLERS = {"_index_ids", "write_qrels", "write_run"}
-_SYNTAX_ONLY_READERS = {"parse_queries", "_read_embeddings_tsv", "_read_embeddings_binary"}
+# where each record rule may be checked: the shared id check, the writers'
+# pair check (QrelSet and RunSet do not check ids) and write_run's tag check
+# apply _bad_id; the query, embedding and qrels readers check syntax only, and
+# the run reader keeps no set of (query, doc) pairs
+_BAD_ID_CALLERS = {"_index_ids", "_check_pairs_serializable", "write_run"}
+_SYNTAX_ONLY_READERS = {"parse_queries", "parse_qrels", "_read_embeddings_tsv", "_read_embeddings_binary"}
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -618,10 +775,12 @@ def test_record_rules_have_one_home():
                 called = _call_name(node) if isinstance(node, ast.Call) else None
                 if called == "_bad_id" and scope.name not in _BAD_ID_CALLERS:
                     offenders.append(f"{path.name}:{node.lineno}: _bad_id in {scope.name}")
+                if scope.name == "parse_run" and (called == "set" or isinstance(node, (ast.Set, ast.SetComp))):
+                    offenders.append(f"{path.name}:{node.lineno}: a set of pairs in parse_run")
                 if scope.name in _SYNTAX_ONLY_READERS and (
                     called in ("isfinite", "set", "dict", "_index_ids")
                     or isinstance(node, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp))
                 ):
                     offenders.append(f"{path.name}:{node.lineno}: record rule in {scope.name}")
     assert offenders == []
-    assert {"QuerySet", "EmbeddingSet", *_SYNTAX_ONLY_READERS} <= defined
+    assert {"QuerySet", "EmbeddingSet", "parse_run", *_SYNTAX_ONLY_READERS} <= defined

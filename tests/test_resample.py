@@ -1,6 +1,7 @@
 import logging
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -527,6 +528,31 @@ class TestResttestAggregate:
         folds = self.fold_spec([("q1",), ("q2",)])
         with pytest.raises(DataError):
             resttest_aggregate([recall_run({"q1": 1})], folds, recall_qrels(["q1"]), MetricSpec("recall"))
+
+    def test_holds_one_run_at_a_time(self):
+        folds = self.fold_spec([("q1",), ("q2",), ()])
+        hits = [{"q1": 1, "q2": 2}, {"q1": 3, "q2": 4}, {"q1": 5, "q2": 0}]
+        held = []
+
+        def fold_runs():
+            for h in hits:
+                assert all(ref() is None for ref in held), "an earlier run is still referenced"
+                run = recall_run(h)
+                held.append(weakref.ref(run))
+                yield run
+                del run
+
+        report = resttest_aggregate(fold_runs(), folds, recall_qrels(["q1", "q2"]), MetricSpec("recall"))
+        assert len(held) == 3
+        assert report == resttest_aggregate(
+            [recall_run(h) for h in hits], folds, recall_qrels(["q1", "q2"]), MetricSpec("recall")
+        )
+
+    def test_fold_count_mismatch_from_an_iterable(self):
+        folds = self.fold_spec([("q1",), ("q2",)])
+        runs = (recall_run({"q1": 1}) for _ in range(3))
+        with pytest.raises(DataError, match="expected 2 fold runs, got 3"):
+            resttest_aggregate(runs, folds, recall_qrels(["q1"]), MetricSpec("recall"))
 
     def test_missing_query_scores_zero_with_warning(self, caplog):
         folds = self.fold_spec([("q1",), ("q2",)])
