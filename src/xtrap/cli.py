@@ -46,11 +46,25 @@ def cmd_knn(args) -> int:
     return EXIT_OK
 
 
-def cmd_candidates(args) -> int:
-    test = dataio.parse_queries(args.test_queries)
+def _add_resample_inputs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--train-queries", required=True, help="training queries, id<TAB>text")
+    parser.add_argument("--test-queries", required=True, help="test queries, id<TAB>text")
+    parser.add_argument("--train-emb", required=True, help="an embedding per training query (EVEC or TSV)")
+    parser.add_argument("--test-emb", required=True, help="an embedding per test query (EVEC or TSV)")
+
+
+def _read_aligned(args) -> tuple[dataio.QuerySet, dataio.QuerySet, dataio.EmbeddingSet, dataio.EmbeddingSet]:
+    """(train, test, train_emb, test_emb), each embedding set subset onto its
+    query file as soon as it is read; the train side is read first."""
     train = dataio.parse_queries(args.train_queries)
-    test_emb = dataio.read_embeddings(args.test_emb)
-    train_emb = dataio.read_embeddings(args.train_emb)
+    train_emb = dataio.read_embeddings(args.train_emb).subset(train.ids)
+    test = dataio.parse_queries(args.test_queries)
+    test_emb = dataio.read_embeddings(args.test_emb).subset(test.ids)
+    return train, test, train_emb, test_emb
+
+
+def cmd_candidates(args) -> int:
+    train, test, train_emb, test_emb = _read_aligned(args)
     pools = simindex.recall_candidates(
         test,
         train,
@@ -66,19 +80,13 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_restrain(args) -> int:
-    inc, exc = args.include_depth, args.exclude_depth
     cfg = resample.ReSTrainConfig(
         target_size=args.size,
-        # each depth defaults to the other, and both to 1
-        include_depth=inc if inc is not None else exc or 1,
-        exclude_depth=exc if exc is not None else inc or 1,
+        exclude_depth=args.exclude_depth,
         seed=args.seed,
         measure=args.measure,
     )
-    train = dataio.parse_queries(args.train_queries)
-    test = dataio.parse_queries(args.test_queries)
-    train_emb = dataio.read_embeddings(args.train_emb)
-    test_emb = dataio.read_embeddings(args.test_emb)
+    train, test, train_emb, test_emb = _read_aligned(args)
     if args.regime == "inter":
         split = resample.restrain_interpolation(train, test, train_emb, test_emb, cfg)
     else:
@@ -99,15 +107,18 @@ def cmd_resttest(args) -> int:
         tol=args.tol,
         normalize=args.normalize,
     )
-    train = dataio.parse_queries(args.train_queries)
-    test = dataio.parse_queries(args.test_queries)
-    train_emb = dataio.read_embeddings(args.train_emb)
-    test_emb = dataio.read_embeddings(args.test_emb)
+    train, test, train_emb, test_emb = _read_aligned(args)
     folds = resample.resttest_split(train, test, train_emb, test_emb, cfg)
     resample.write_manifest(folds, args.output)
     sizes = ", ".join(str(len(b)) for b in folds.buckets)
     print(f"{folds.k} buckets (sizes {sizes}) over {len(train)} train + {len(test)} test -> {args.output}")
     return EXIT_OK
+
+
+def _add_metric(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metric", required=True, help="mrr@10, ndcg@10, or recall@100")
+    parser.add_argument("--rel-threshold", type=int, default=1, help="binarization grade (TREC DL convention: 2)")
+    parser.add_argument("--gain", choices=metrics.GAINS, default="linear", help="ndcg gain function")
 
 
 def _metric_spec(args) -> metrics.MetricSpec:
@@ -233,10 +244,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("candidates", help="annotation candidate pools (embedding + BM25 channels)")
-    p.add_argument("--test-queries", required=True)
-    p.add_argument("--train-queries", required=True)
-    p.add_argument("--test-emb", required=True)
-    p.add_argument("--train-emb", required=True)
+    _add_resample_inputs(p)
     p.add_argument("--per-channel", type=int, default=10, help="neighbors per channel")
     p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
     _add_common(p)
@@ -244,12 +252,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("restrain", help="resample the training set against a fixed test set")
     p.add_argument("--regime", choices=("inter", "extra"), required=True)
-    p.add_argument("--train-queries", required=True)
-    p.add_argument("--test-queries", required=True)
-    p.add_argument("--train-emb", required=True)
-    p.add_argument("--test-emb", required=True)
-    p.add_argument("-I", "--include-depth", type=int, default=None, help="lower bound on the depth of the kNN scan (interpolation; the split does not depend on it); defaults to -E")
-    p.add_argument("-E", "--exclude-depth", type=int, default=None, help="neighbors excluded per test query (extrapolation); defaults to -I")
+    _add_resample_inputs(p)
+    p.add_argument("-E", "--exclude-depth", type=int, default=1, help="neighbors excluded per test query (extrapolation)")
     p.add_argument("--size", type=int, required=True, help="target training set size")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
@@ -257,10 +261,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_restrain)
 
     p = sub.add_parser("resttest", help="k-means bucket folds over train and test queries")
-    p.add_argument("--train-queries", required=True)
-    p.add_argument("--test-queries", required=True)
-    p.add_argument("--train-emb", required=True)
-    p.add_argument("--test-emb", required=True)
+    _add_resample_inputs(p)
     p.add_argument("-k", type=int, default=5, help="bucket count")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max-iters", type=int, default=100)
@@ -272,9 +273,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a run file against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--metric", required=True, help="mrr@10, ndcg@10, or recall@100")
-    p.add_argument("--rel-threshold", type=int, default=1, help="binarization grade (TREC DL convention: 2)")
-    p.add_argument("--gain", choices=metrics.GAINS, default="linear", help="ndcg gain function")
+    _add_metric(p)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 
@@ -282,9 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True, help="resttest fold manifest")
     p.add_argument("--qrels", required=True)
     p.add_argument("--runs", nargs="+", required=True, help="one run file per fold, in fold order")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--rel-threshold", type=int, default=1)
-    p.add_argument("--gain", choices=metrics.GAINS, default="linear")
+    _add_metric(p)
     _add_common(p)
     p.set_defaults(func=cmd_aggregate)
 

@@ -10,7 +10,9 @@ Formats handled here:
 - embeddings:   either a bespoke binary format (magic ``EVEC``, see
                 :func:`read_embeddings`) or ``id<TAB>v1 v2 ... vdim`` TSV;
                 the file decides: one that starts with ``EVEC`` is EVEC,
-                any other is TSV, so :func:`read_embeddings` takes no format
+                any other is TSV, so :func:`read_embeddings` takes no format.
+                An EVEC read holds one copy of the matrix: each vector is
+                read from the file straight into its row
 
 All readers accept LF and CRLF line endings; writers emit LF only and go
 through :func:`atomic_output`, so an output file is either fully written or
@@ -292,9 +294,6 @@ class QrelSet:
 
     def has_query(self, query_id: str) -> bool:
         return query_id in self._grades
-
-    def relevant_count(self, query_id: str, threshold: int = 1) -> int:
-        return sum(1 for rel in self._grades.get(query_id, {}).values() if rel >= threshold)
 
     def __len__(self) -> int:
         return sum(len(d) for d in self._grades.values())
@@ -585,24 +584,21 @@ def read_embeddings(path) -> EmbeddingSet:
     ``EVEC`` is therefore read as EVEC, and rejected; `write_embeddings`
     refuses to write one.
     """
-    # unbuffered: after a buffered partial read, read() gathers the rest in
-    # chunks, which took twice as long as one read sized by the file
-    with open(path, "rb", buffering=0) as f:
+    with open(path, "rb") as f:
         if f.read(len(EMBEDDING_MAGIC)) == EMBEDDING_MAGIC:
-            f.seek(0)
-            return _read_embeddings_binary(path, f.read())
+            return _read_embeddings_binary(path, f)
     return _read_embeddings_tsv(path)
 
 
-def _read_embeddings_binary(path, data: bytes) -> EmbeddingSet:
-    off = len(EMBEDDING_MAGIC)
+def _read_embeddings_binary(path, f: IO[bytes]) -> EmbeddingSet:
+    """Read the EVEC records after the magic; each vector is read straight
+    into its row of the matrix, and an error's offset is the file position."""
+    read, readinto = f.read, f.readinto
 
     def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise _binary_error(path, off, f"truncated file while reading {what}")
-        chunk = data[off : off + n]
-        off += n
+        chunk = read(n)
+        if len(chunk) < n:
+            raise _binary_error(path, f.tell() - len(chunk), f"truncated file while reading {what}")
         return chunk
 
     (version,) = struct.unpack("<I", take(4, "version"))
@@ -612,24 +608,26 @@ def _read_embeddings_binary(path, data: bytes) -> EmbeddingSet:
     (dim,) = struct.unpack("<I", take(4, "dim"))
     if dim < 1:
         raise _binary_error(path, 16, "dim must be positive")
-    if count * (2 + 4 * dim) > len(data) - off:
+    size = os.fstat(f.fileno()).st_size
+    if count * (2 + 4 * dim) > size - f.tell():
         raise _binary_error(
-            path, 8, f"count {count} of dim {dim} needs more than the {len(data) - off} bytes after the header"
+            path, 8, f"count {count} of dim {dim} needs more than the {size - f.tell()} bytes after the header"
         )
     ids: list[str] = []
-    matrix = np.empty((count, dim), dtype=np.float32)
+    matrix = np.empty((count, dim), dtype="<f4")
+    rows = memoryview(matrix.reshape(-1).view(np.uint8))
     vec_bytes = 4 * dim
     for i in range(count):
         (id_len,) = struct.unpack("<H", take(2, f"id length of record {i}"))
         try:
-            eid = take(id_len, f"id of record {i}").decode("utf-8")
+            ids.append(take(id_len, f"id of record {i}").decode("utf-8"))
         except UnicodeDecodeError as e:
-            raise _binary_error(path, off, f"record {i}: id is not valid UTF-8: {e}") from e
-        raw = take(vec_bytes, f"vector of record {i}")
-        matrix[i] = np.frombuffer(raw, dtype="<f4")
-        ids.append(eid)
-    if off != len(data):
-        raise _binary_error(path, off, f"{len(data) - off} trailing bytes after {count} records")
+            raise _binary_error(path, f.tell(), f"record {i}: id is not valid UTF-8: {e}") from e
+        got = readinto(rows[i * vec_bytes : (i + 1) * vec_bytes])
+        if got < vec_bytes:
+            raise _binary_error(path, f.tell() - got, f"truncated file while reading vector of record {i}")
+    if f.tell() != size:
+        raise _binary_error(path, f.tell(), f"{size - f.tell()} trailing bytes after {count} records")
     with _located(path):
         return EmbeddingSet(ids, matrix)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .dataio import QrelSet, RunSet, atomic_output
 
@@ -105,22 +106,33 @@ def _query_ndcg(ranking, grades, spec: MetricSpec) -> tuple[float, bool]:
     return dcg / idcg, False
 
 
-def _query_recall(ranking, grades, spec: MetricSpec) -> float | None:
-    """None when the query has no relevant docs at the threshold (skip)."""
+def _query_recall(ranking, grades, spec: MetricSpec) -> float:
+    """Share of the docs at the threshold in the ranking; `evaluable` ensures there is one."""
     relevant = {d for d, rel in grades.items() if rel >= spec.rel_threshold}
-    if not relevant:
-        return None
     hits = sum(1 for docid, _ in ranking[: spec.cutoff] if docid in relevant)
     return hits / len(relevant)
 
 
+def evaluable(qrels: QrelSet, query_id: str, spec: MetricSpec) -> bool:
+    """Whether `spec` can score `query_id`: the qrels judge it, and for recall
+    it has a doc at the threshold."""
+    if spec.kind == "recall":
+        return any(rel >= spec.rel_threshold for rel in qrels.docs(query_id).values())
+    return qrels.has_query(query_id)
+
+
+def mean_by_query(per_query: Mapping[str, float]) -> float:
+    """Mean summed in ascending query-id order, a fixed float order; 0.0 with no queries."""
+    return sum(per_query[qid] for qid in sorted(per_query)) / len(per_query) if per_query else 0.0
+
+
 def score_run(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
-    """Score every query of `run` by `spec`; queries absent from the qrels are skipped."""
+    """Score every query of `run` by `spec`; queries it cannot score are skipped."""
     per_query: dict[str, float] = {}
     skipped: list[str] = []
     idcg_zero = 0
     for qid in sorted(run.query_ids()):
-        if not qrels.has_query(qid):
+        if not evaluable(qrels, qid, spec):
             skipped.append(qid)
             continue
         grades = qrels.docs(qid)
@@ -132,19 +144,14 @@ def score_run(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
             per_query[qid] = value
             idcg_zero += zero
         else:
-            value = _query_recall(ranking, grades, spec)
-            if value is None:
-                skipped.append(qid)
-                continue
-            per_query[qid] = value
+            per_query[qid] = _query_recall(ranking, grades, spec)
     if idcg_zero:
         logger.warning("%s: %d queries have zero ideal DCG; scored 0", spec.label, idcg_zero)
     if skipped:
         logger.warning("%s: skipped %d queries without usable judgments", spec.label, len(skipped))
-    count = len(per_query)
-    mean = sum(per_query[qid] for qid in sorted(per_query)) / count if count else 0.0
+    mean = mean_by_query(per_query)
     return MetricReport(
-        label=spec.label, mean=mean, per_query=per_query, evaluated_count=count, skipped_ids=skipped
+        label=spec.label, mean=mean, per_query=per_query, evaluated_count=len(per_query), skipped_ids=skipped
     )
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, QuerySet, RunSet
 from .dataio import _iter_lines, atomic_output
-from .metrics import MetricSpec, score_run
+from .metrics import MetricSpec, evaluable, mean_by_query, score_run
 from .simindex import MEASURES, _rounding_bounds, knn
 
 logger = logging.getLogger(__name__)
@@ -80,10 +80,9 @@ class KMeansConfig:
 
 @dataclass(frozen=True)
 class ReSTrainConfig:
-    """Neighborhood depths, output size, and seed for training-set resampling."""
+    """Exclusion depth, output size, and seed for training-set resampling."""
 
     target_size: int
-    include_depth: int = 1
     exclude_depth: int = 1
     seed: int = 42
     measure: str = "inner_product"
@@ -91,15 +90,14 @@ class ReSTrainConfig:
     def __post_init__(self):
         if self.target_size < 1:
             raise ValueError("target_size must be >= 1")
-        if self.include_depth < 1 or self.exclude_depth < 1:
-            raise ValueError("neighborhood depths must be >= 1")
+        if self.exclude_depth < 1:
+            raise ValueError("exclude_depth must be >= 1")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown similarity measure {self.measure!r}")
 
     def provenance(self) -> dict[str, str]:
         return {
             "seed": str(self.seed),
-            "include_depth": str(self.include_depth),
             "exclude_depth": str(self.exclude_depth),
             "target_size": str(self.target_size),
             "measure": self.measure,
@@ -399,8 +397,8 @@ def restrain_interpolation(
     Per-test neighbor lists are merged in round-robin rank order and
     deduplicated. The union is rank-major and exact top-D is a prefix of
     top-D' for D < D', so the union at any depth is a prefix of the union
-    at a deeper one: the split depends neither on the scan depth nor on
-    include_depth, and a smaller target yields a prefix of a larger one.
+    at a deeper one: the split does not depend on the scan depth, and a
+    smaller target yields a prefix of a larger one.
     """
     if len(test) == 0:
         raise DataError("test set is empty")
@@ -415,7 +413,7 @@ def restrain_interpolation(
     extra = min((_SCAN_SHARES - 1) * share, n_train // _SCAN_TRAIN_ROWS_PER_EXTRA_RANK)
     # one list of depth target_size holds target_size distinct ids, so no
     # scan needs to go deeper than that
-    depth = min(n_train, max(cfg.include_depth, min(cfg.target_size, share + extra)))
+    depth = min(cfg.target_size, share + extra)
     scans = 0
     while True:
         lists = knn(te, tr, depth, measure=cfg.measure)
@@ -542,11 +540,7 @@ def resttest_aggregate(
     skipped: list[str] = []
     missing = 0
     for qid in fold_spec.test_ids:
-        if spec.kind == "recall":
-            evaluable = qrels.relevant_count(qid, spec.rel_threshold) > 0
-        else:
-            evaluable = qrels.has_query(qid)
-        if not evaluable:
+        if not evaluable(qrels, qid, spec):
             skipped.append(qid)
             continue
         extra_fold = bucket_of[qid]
@@ -563,13 +557,10 @@ def resttest_aggregate(
         logger.warning("%d fold-query scores missing from the runs; scored 0", missing)
     if skipped:
         logger.warning("%s: skipped %d test queries without usable judgments", spec.label, len(skipped))
-    count = len(per_query)
-    interpolation = sum(per_query[q][0] for q in sorted(per_query)) / count if count else 0.0
-    extrapolation = sum(per_query[q][1] for q in sorted(per_query)) / count if count else 0.0
     return AggregateReport(
         label=spec.label,
-        interpolation=interpolation,
-        extrapolation=extrapolation,
+        interpolation=mean_by_query({qid: inter for qid, (inter, _) in per_query.items()}),
+        extrapolation=mean_by_query({qid: extra for qid, (_, extra) in per_query.items()}),
         per_query=per_query,
         skipped_ids=skipped,
     )
@@ -620,9 +611,14 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
 
 
 def read_manifest(path) -> SplitSpec | FoldSpec:
-    """Read back a manifest written by :func:`write_manifest`."""
+    """Read back a manifest written by :func:`write_manifest`.
+
+    Headers other than ``#regime`` and ``#k`` are free-form provenance. A
+    section that the regime does not define is an error at its header line.
+    """
     headers: dict[str, str] = {}
     sections: dict[str, list[str]] = {}
+    starts: dict[str, int] = {}
     current: str | None = None
     for lineno, line in _iter_lines(path):
         if line.startswith("#"):
@@ -637,42 +633,36 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
             if current in sections:
                 raise ParseError(path, f"duplicate section [{current}]", lineno)
             sections[current] = []
+            starts[current] = lineno
         else:
             if current is None:
                 raise ParseError(path, "id line before any section header", lineno)
             sections[current].append(line)
     regime = headers.pop("regime", None)
-    if regime is None:
-        raise ParseError(path, "missing #regime header")
     if regime in ("interpolation", "extrapolation"):
-        section = "test-interpolation" if regime == "interpolation" else "test-extrapolation"
-        if "training" not in sections or section not in sections:
-            raise ParseError(path, f"expected [training] and [{section}] sections")
-        return SplitSpec(
-            regime=regime,
-            training_ids=tuple(sections["training"]),
-            test_ids=tuple(sections[section]),
-            provenance=headers,
-        )
-    if regime == "resttest":
+        names = ["training", "test-interpolation" if regime == "interpolation" else "test-extrapolation"]
+    elif regime == "resttest":
         if "k" not in headers:
             raise ParseError(path, "missing #k header")
         try:
             k = int(headers.pop("k"))
         except ValueError:
             raise ParseError(path, "#k must be an integer") from None
-        if "training" not in sections:
-            raise ParseError(path, "expected a [training] section")
-        buckets = []
-        for b in range(k):
-            name = f"bucket {b}"
-            if name not in sections:
-                raise ParseError(path, f"missing [{name}] section")
-            buckets.append(tuple(sections[name]))
-        return FoldSpec(
-            k=k,
-            buckets=tuple(buckets),
-            train_ids=tuple(sections["training"]),
-            provenance=headers,
-        )
-    raise ParseError(path, f"unknown regime {regime!r}")
+        # with k >= len(sections) some bucket below len(sections) is missing,
+        # so the list stays no longer than the file
+        names = ["training", *(f"bucket {b}" for b in range(min(k, len(sections))))]
+    elif regime is None:
+        raise ParseError(path, "missing #regime header")
+    else:
+        raise ParseError(path, f"unknown regime {regime!r}")
+    for name in names:
+        if name not in sections:
+            raise ParseError(path, f"missing [{name}] section")
+    expected = set(names)
+    for name, lineno in starts.items():
+        if name not in expected:
+            raise ParseError(path, f"unexpected section [{name}] for #regime={regime}", lineno)
+    if regime == "resttest":
+        buckets = tuple(tuple(sections[name]) for name in names[1:])
+        return FoldSpec(k=k, buckets=buckets, train_ids=tuple(sections["training"]), provenance=headers)
+    return SplitSpec(regime, tuple(sections["training"]), tuple(sections[names[1]]), provenance=headers)

@@ -297,7 +297,6 @@ class Bm25Index:
             t: (np.asarray(ords, dtype=np.int64), np.asarray(tfs, dtype=np.float64))
             for t, (ords, tfs) in postings.items()
         }
-        self.doc_lens = lens
         self.avgdl = float(lens.sum() / self.n)
         # length-normalization ratio; zero-length corpus has no postings at all
         self.len_ratio = lens / self.avgdl if self.avgdl > 0 else np.zeros_like(lens)

@@ -4,8 +4,9 @@ Everything here is written directly from the definitions (full sorts,
 all-pairs enumeration, textbook formulas) and deliberately avoids the
 library's code paths, so agreement between the two is meaningful. The
 exception is the section at the end: verbatim copies of replaced library
-code (the line-by-line run and qrels readers, the O(n^2) Kendall loop),
-kept so that their replacements can be checked against them.
+code (the line-by-line run and qrels readers, the O(n^2) Kendall loop, the
+EVEC reader over a whole-file `bytes` copy), kept so that their
+replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -13,12 +14,23 @@ from __future__ import annotations
 import logging
 import math
 import re
+import struct
 from typing import Iterator
 
 import numpy as np
 
 from xtrap.analysis import DataError, _check_pairs, _tie_term
-from xtrap.dataio import ParseError, QrelSet, RunSet
+from xtrap.dataio import (
+    EMBEDDING_MAGIC,
+    EMBEDDING_VERSION,
+    EmbeddingSet,
+    ParseError,
+    QrelSet,
+    RunSet,
+    _binary_error,
+    _located,
+    _read_embeddings_tsv,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -246,8 +258,9 @@ def kmeans_lloyd(mat, k, seed, max_iters=100, tol=1e-4, normalize=False):
 
 
 # Replaced library code, copied verbatim: the line-by-line run and qrels
-# readers (with `_iter_lines`), which build the library's containers, and
-# the O(n^2) Kendall tau-b loop.
+# readers (with `_iter_lines`), which build the library's containers, the
+# O(n^2) Kendall tau-b loop, and the EVEC reader that sliced a `bytes` copy
+# of the whole file (with the `read_embeddings` that fed it).
 
 
 def _iter_lines(path) -> Iterator[tuple[int, str]]:
@@ -356,3 +369,61 @@ def kendall_tau_b_quadratic(pairs: PairedScores) -> float:
     if denom == 0.0:
         raise DataError("undefined correlation: all values tied in a coordinate")
     return concordant_minus_discordant / denom
+
+
+def read_embeddings(path) -> EmbeddingSet:
+    """Read an embedding file: EVEC if it starts with the magic ``EVEC``, else TSV.
+
+    EVEC layout, little-endian throughout: magic ``EVEC``, u32 version=1,
+    u64 count, u32 dim, then per record a u16 id byte length, the UTF-8 id,
+    and dim float32 components. A TSV file whose first id begins with
+    ``EVEC`` is therefore read as EVEC, and rejected; `write_embeddings`
+    refuses to write one.
+    """
+    # unbuffered: after a buffered partial read, read() gathers the rest in
+    # chunks, which took twice as long as one read sized by the file
+    with open(path, "rb", buffering=0) as f:
+        if f.read(len(EMBEDDING_MAGIC)) == EMBEDDING_MAGIC:
+            f.seek(0)
+            return _read_embeddings_binary(path, f.read())
+    return _read_embeddings_tsv(path)
+
+
+def _read_embeddings_binary(path, data: bytes) -> EmbeddingSet:
+    off = len(EMBEDDING_MAGIC)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise _binary_error(path, off, f"truncated file while reading {what}")
+        chunk = data[off : off + n]
+        off += n
+        return chunk
+
+    (version,) = struct.unpack("<I", take(4, "version"))
+    if version != EMBEDDING_VERSION:
+        raise _binary_error(path, 4, f"unsupported version {version}")
+    (count,) = struct.unpack("<Q", take(8, "count"))
+    (dim,) = struct.unpack("<I", take(4, "dim"))
+    if dim < 1:
+        raise _binary_error(path, 16, "dim must be positive")
+    if count * (2 + 4 * dim) > len(data) - off:
+        raise _binary_error(
+            path, 8, f"count {count} of dim {dim} needs more than the {len(data) - off} bytes after the header"
+        )
+    ids: list[str] = []
+    matrix = np.empty((count, dim), dtype=np.float32)
+    vec_bytes = 4 * dim
+    for i in range(count):
+        (id_len,) = struct.unpack("<H", take(2, f"id length of record {i}"))
+        try:
+            eid = take(id_len, f"id of record {i}").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise _binary_error(path, off, f"record {i}: id is not valid UTF-8: {e}") from e
+        raw = take(vec_bytes, f"vector of record {i}")
+        matrix[i] = np.frombuffer(raw, dtype="<f4")
+        ids.append(eid)
+    if off != len(data):
+        raise _binary_error(path, off, f"{len(data) - off} trailing bytes after {count} records")
+    with _located(path):
+        return EmbeddingSet(ids, matrix)

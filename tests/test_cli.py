@@ -64,7 +64,7 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--regime", "--train-queries", "--test-queries", "--train-emb",
-                     "--test-emb", "-I", "-E", "--size", "--seed", "--measure",
+                     "--test-emb", "-E", "--size", "--seed", "--measure",
                      "-o", "-v", "-q"):
             assert flag in out
 
@@ -170,8 +170,18 @@ class TestRestrainCli:
                          "--train-emb", files["train_e"], "--test-emb", files["test_e"],
                          "-E", "3", "--size", "12", "-o", str(out)]) == 0
         split = read_manifest(out)
-        assert split.provenance["include_depth"] == "3"
         assert split.provenance["exclude_depth"] == "3"
+        assert "include_depth" not in split.provenance
+        assert "#include_depth=" not in out.read_text()
+
+    def test_include_depth_flag_is_usage_error(self, tmp_path, rng):
+        files = restrain_inputs(tmp_path, rng)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["restrain", "--regime", "inter",
+                      "--train-queries", files["train_q"], "--test-queries", files["test_q"],
+                      "--train-emb", files["train_e"], "--test-emb", files["test_e"],
+                      "-I", "3", "--size", "12", "-o", str(tmp_path / "m.txt")])
+        assert exc.value.code == 1
 
     def test_empty_training_set_is_data_error(self, tmp_path, rng, capsys):
         files = restrain_inputs(tmp_path, rng)
@@ -240,6 +250,15 @@ class TestResttestAndAggregate:
                        "--runs", missing, missing, missing, "--metric", "mrr@10", "-o", str(tmp_path / "o")])
         assert rc == 2
         assert "expected 2 fold runs, got 3" in capsys.readouterr().err
+
+    def test_unexpected_bucket_section_is_data_error(self, tmp_path, capsys):
+        manifest = write(tmp_path / "folds.txt",
+                         "#regime=resttest\n#k=2\n[training]\n[bucket 0]\nq0\n[bucket 1]\nq1\n[bucket 2]\nq2\n")
+        qrels = write(tmp_path / "qrels.txt", "q0 0 d1 1\nq1 0 d1 1\nq2 0 d1 1\n")
+        rc = cli.main(["aggregate", "--manifest", manifest, "--qrels", qrels,
+                       "--runs", qrels, qrels, "--metric", "mrr@10", "-o", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{manifest}:8: unexpected section [bucket 2] for #regime=resttest" in capsys.readouterr().err
 
     def test_invalid_utf8_manifest_is_data_error(self, tmp_path, capsys):
         manifest = tmp_path / "folds.txt"
@@ -384,6 +403,29 @@ class TestPcaCli:
         for eid, bucket in folds.bucket_of.items():
             if eid in groups:
                 assert groups[eid] == f"bucket-{bucket}"
+
+    @pytest.mark.parametrize("section", ["test-extrapolation", "bogus"])
+    def test_unexpected_split_section_is_data_error(self, tmp_path, rng, capsys, section):
+        emb = emb_file(tmp_path, "e.evec", ["t1", "q1"], rng.normal(size=(2, 3)))
+        manifest = write(tmp_path / "m.txt", "#regime=interpolation\n#seed=1\n[training]\nt1\n"
+                         f"[test-interpolation]\nq1\n[{section}]\nt2\n")
+        assert cli.main(["pca", "--emb", emb, "--manifest", manifest, "-o", str(tmp_path / "pca.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:7: unexpected section [{section}] for #regime=interpolation" in err
+
+    def test_manifest_with_include_depth_header_still_reads(self, tmp_path, rng):
+        # manifests written before -I was removed carry an #include_depth header
+        emb = emb_file(tmp_path, "e.evec", ["t1", "t2", "q1"], rng.normal(size=(3, 3)))
+        manifest = write(tmp_path / "m.txt", "#regime=interpolation\n#seed=42\n#exclude_depth=1\n"
+                         "#include_depth=1\n#measure=inner_product\n#rng=pcg64\n#target_size=1\n"
+                         "[training]\nt1\n[test-interpolation]\nq1\n")
+        split = read_manifest(manifest)
+        assert split.training_ids == ("t1",) and split.test_ids == ("q1",)
+        assert split.provenance["include_depth"] == "1"
+        out = tmp_path / "pca.tsv"
+        assert cli.main(["pca", "--emb", emb, "--manifest", manifest, "-o", str(out)]) == 0
+        groups = {row.split("\t")[0]: row.split("\t")[3] for row in out.read_text().splitlines()}
+        assert groups == {"t1": "train-inter", "t2": "none", "q1": "test"}
 
     def test_huge_evec_count_is_data_error(self, tmp_path, capsys):
         emb = tmp_path / "huge.evec"

@@ -4,6 +4,7 @@ import os
 import stat
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -295,6 +296,69 @@ class TestEmbeddingsBinary:
         path = tmp_path / "e.evec"
         write_embeddings(es, path, format="binary")
         assert read_embeddings(path).ids == (eid,)
+
+
+def _evec_outcome(reader, path):
+    """("ok", ids, dtype, matrix bytes) or ("error", message)."""
+    try:
+        es = reader(path)
+    except ParseError as e:
+        return "error", str(e)
+    return "ok", es.ids, es.matrix.dtype, es.matrix.tobytes()
+
+
+def _small_evec_blobs(tmp_path):
+    """EVEC files of 3 records: ASCII and multi-byte ids, dims 1 and 3, one empty set."""
+    sets = [
+        make_embeddings(["a", "bé", "c"], [[1.0], [-2.5], [0.0]]),
+        make_embeddings(["q1", "q22", "€"], np.arange(9, dtype=np.float32).reshape(3, 3) - 4.0),
+        make_embeddings([], np.empty((0, 2), dtype=np.float32)),
+    ]
+    blobs = []
+    for n, es in enumerate(sets):
+        path = tmp_path / f"small{n}.evec"
+        write_embeddings(es, path)
+        blobs.append(path.read_bytes())
+    return blobs
+
+
+class TestEvecReaderMatchesWholeFileReader:
+    """The reader that reads each vector into its row gives the whole-file
+    reader's set, or its ParseError text (offsets included)."""
+
+    @staticmethod
+    def _check(tmp_path, blob):
+        path = write_text(tmp_path, "case.evec", blob)
+        assert _evec_outcome(read_embeddings, path) == _evec_outcome(oracles.read_embeddings, path)
+
+    def test_every_truncation_and_a_trailing_byte(self, tmp_path):
+        for blob in _small_evec_blobs(tmp_path):
+            for cut in range(len(blob) + 1):
+                self._check(tmp_path, blob[:cut])
+            self._check(tmp_path, blob + b"\0")
+
+    def test_random_byte_flips(self, tmp_path):
+        flips = np.random.default_rng(5)
+        blobs = _small_evec_blobs(tmp_path)
+        for _ in range(2400):
+            blob = bytearray(blobs[int(flips.integers(len(blobs)))])
+            for pos in flips.integers(len(blob), size=int(flips.integers(1, 4))):
+                blob[pos] ^= int(flips.integers(1, 256))
+            self._check(tmp_path, bytes(blob))
+
+
+def test_evec_read_holds_one_matrix(tmp_path, rng):
+    es = random_embedding_set(rng, 4096, 256)
+    path = tmp_path / "e.evec"
+    write_embeddings(es, path)
+    tracemalloc.start()
+    try:
+        back = read_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == es
+    assert peak < 1.5 * es.matrix.nbytes
 
 
 class TestEmbeddingsTsv:

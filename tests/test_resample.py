@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from conftest import make_embeddings, make_queries, random_embeddings
 from xtrap.dataio import DataError, QrelSet, RunSet
-from xtrap.metrics import MetricSpec
+from xtrap.metrics import MetricSpec, score_run
 from xtrap.resample import (
     FoldSpec,
     KMeansConfig,
@@ -240,19 +240,31 @@ class TestRestrainInterpolation:
         assert splits[1].training_ids[:20] == splits[0].training_ids
         assert splits[2].training_ids[:50] == splits[1].training_ids
 
-    def test_split_independent_of_include_depth(self, rng):
-        # include_depth only sets the first scan's depth: exact top-D is a
+    def test_split_independent_of_scan_depth(self, rng, monkeypatch):
+        # the share count only sets the first scan's depth: exact top-D is a
         # prefix of top-D' for D < D', so the round-robin union is the same
         train_emb = random_embeddings(rng, "t", 300, 8)
         test_emb = random_embeddings(rng, "q", 12, 8)
         train, test = make_queries(train_emb.ids), make_queries(test_emb.ids)
+        depths = []
+
+        def recording_knn(test, train, k, measure):
+            depths.append(k)
+            return knn(test, train, k, measure=measure)
+
+        monkeypatch.setattr("xtrap.resample.knn", recording_knn)
+        # lift the cap on the ranks past the share, which is 0 at 300 rows,
+        # so that each share count starts at its own depth
+        monkeypatch.setattr("xtrap.resample._SCAN_TRAIN_ROWS_PER_EXTRA_RANK", 1)
         for size in (10, 40, 170, 300):
-            splits = {
-                restrain_interpolation(
-                    train, test, train_emb, test_emb, ReSTrainConfig(target_size=size, include_depth=depth)
-                ).training_ids
-                for depth in (1, 3, 17, 60, 400)
-            }
+            splits, first_depths = set(), []
+            for shares in (1, 2, 4, 8):
+                monkeypatch.setattr("xtrap.resample._SCAN_SHARES", shares)
+                depths.clear()
+                cfg = ReSTrainConfig(target_size=size)
+                splits.add(restrain_interpolation(train, test, train_emb, test_emb, cfg).training_ids)
+                first_depths.append(depths[0])
+            assert len(set(first_depths)) == 4
             assert len(splits) == 1
             assert len(splits.pop()) == size
 
@@ -570,6 +582,23 @@ class TestResttestAggregate:
         assert report.skipped_ids == ["qX"]
         assert set(report.per_query) == {"q1", "q2"}
 
+    @pytest.mark.parametrize("kind", ["mrr", "ndcg", "recall"])
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_scores_the_queries_score_run_evaluates(self, kind, threshold):
+        # q1: a grade-2 doc; q2: grade-1 docs only; q3: grade 0 only; q4: unjudged
+        qrels = QrelSet.from_records(
+            [("q1", "a", 2), ("q1", "b", 1), ("q2", "a", 1), ("q2", "c", 1), ("q3", "a", 0)]
+        )
+        run = RunSet({q: [("a", 2.0), ("b", 1.0)] for q in ("q1", "q2", "q3", "q4")})
+        spec = MetricSpec(kind, rel_threshold=threshold)
+        folds = self.fold_spec([("q1", "q2"), ("q3", "q4")])
+        scored = score_run(run, qrels, spec)
+        report = resttest_aggregate([run, run], folds, qrels, spec)
+        assert set(report.per_query) == set(scored.per_query)
+        assert sorted(report.skipped_ids) == sorted(scored.skipped_ids)
+        if kind == "recall":
+            assert ("q2" in scored.skipped_ids) == (threshold == 2)
+
 
 class TestManifest:
     def test_splitspec_roundtrip(self, tmp_path, rng):
@@ -580,7 +609,7 @@ class TestManifest:
             make_queries(test_emb.ids),
             train_emb,
             test_emb,
-            ReSTrainConfig(target_size=10, include_depth=2, seed=9),
+            ReSTrainConfig(target_size=10, seed=9),
         )
         p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
         write_manifest(split, p1)
