@@ -74,7 +74,7 @@ def planted_dataset(rng):
 def toy_model_run(training_ids, train_emb, train_qrels, test_emb, test_ids):
     """score(q, d) = sum over training queries t of <q, t> * [t judged relevant for d]."""
     picked = train_emb.subset(training_ids)
-    doc_ids = sorted({d for _, d, rel in train_qrels.pairs() if rel >= 1})
+    doc_ids = sorted(train_qrels.relevant_docs())
     doc_pos = {d: i for i, d in enumerate(doc_ids)}
     relevance = np.zeros((len(picked), len(doc_ids)))
     for row, tid in enumerate(picked.ids):

@@ -28,7 +28,6 @@ from .metrics import MetricReport, MetricSpec, score_run
 from .simindex import (
     Bm25Index,
     Bm25Params,
-    NeighborList,
     bm25_grid_search,
     bm25_search,
     knn,

@@ -89,7 +89,7 @@ def relevant_overlap(
     test_ids = test_qrels.query_ids()
     if not test_ids:
         raise DataError("test qrels are empty")
-    train_relevant = {docid for _, docid, rel in train_qrels.pairs() if rel >= 1}
+    train_relevant = train_qrels.relevant_docs()
     counts = [0] * len(thresholds)
     for qid in test_ids:
         # the test grades of the query's docs that are relevant in training

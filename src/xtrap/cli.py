@@ -40,9 +40,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def cmd_knn(args) -> int:
     test = dataio.read_embeddings(args.test_emb)
     train = dataio.read_embeddings(args.train_emb)
-    lists = simindex.knn(test, train, args.k, measure=args.measure)
-    simindex.write_neighbor_lists(lists, args.output)
-    print(f"wrote top-{args.k} neighbors for {len(lists)} queries to {args.output}")
+    index, scores = simindex.knn(test, train, args.k, measure=args.measure)
+    simindex.write_neighbor_lists(test.ids, train.ids, index, scores, args.output)
+    print(f"wrote top-{args.k} neighbors for {len(test)} queries to {args.output}")
     return EXIT_OK
 
 

@@ -166,15 +166,18 @@ _BLOCK_BYTES = 1 << 20
 _BLANK = ("", "\r")
 
 
-def _iter_blocks(path) -> Iterator[tuple[int, list[str]]]:
+def _iter_blocks(path, f: IO[bytes] | None = None, head: bytes = b"") -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based number of the first line, lines) over blocks of whole lines.
 
     Lines are split on ``\\n`` only and keep a trailing ``\\r``. Invalid UTF-8
     raises ParseError at its line, after the lines before it were yielded.
+    `f` is `path` already open, with `head` its bytes read so far: a pipe
+    can be opened and read only once.
     """
-    with open(path, "rb") as f:
+    with open(path, "rb") if f is None else contextlib.nullcontext(f) as f:
         first = 1
-        while block := f.read(_BLOCK_BYTES) + f.readline():
+        while block := head + f.read(_BLOCK_BYTES) + f.readline():
+            head = b""
             try:
                 text, bad = block.decode("utf-8"), b""
             except UnicodeDecodeError as e:
@@ -193,12 +196,13 @@ def _iter_blocks(path) -> Iterator[tuple[int, list[str]]]:
                     raise ParseError(path, f"invalid UTF-8: {e}", first) from e
 
 
-def _iter_lines(path) -> Iterator[tuple[int, str]]:
+def _iter_lines(path, f: IO[bytes] | None = None, head: bytes = b"") -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line) with terminators removed.
 
-    Blank lines are skipped; invalid UTF-8 raises ParseError.
+    Blank lines are skipped; invalid UTF-8 raises ParseError. `f` and `head`
+    are as for `_iter_blocks`.
     """
-    for first, lines in _iter_blocks(path):
+    for first, lines in _iter_blocks(path, f, head):
         for lineno, line in enumerate(lines, first):
             if line not in _BLANK:
                 yield lineno, line.removesuffix("\r")
@@ -283,11 +287,9 @@ class QrelSet:
         """Read-only view: doc id -> grade (empty if the query is unknown)."""
         return MappingProxyType(self._grades.get(query_id, {}))
 
-    def pairs(self) -> Iterator[tuple[str, str, int]]:
-        """Iterate all (query id, doc id, grade) triples without copying."""
-        for qid, docs in self._grades.items():
-            for docid, rel in docs.items():
-                yield qid, docid, rel
+    def relevant_docs(self) -> set[str]:
+        """The doc ids graded relevant (grade >= 1) for some query."""
+        return {docid for docs in self._grades.values() for docid, rel in docs.items() if rel >= 1}
 
     def grade(self, query_id: str, doc_id: str, default: int = 0) -> int:
         return self._grades.get(query_id, {}).get(doc_id, default)
@@ -585,9 +587,10 @@ def read_embeddings(path) -> EmbeddingSet:
     refuses to write one.
     """
     with open(path, "rb") as f:
-        if f.read(len(EMBEDDING_MAGIC)) == EMBEDDING_MAGIC:
+        head = f.read(len(EMBEDDING_MAGIC))
+        if head == EMBEDDING_MAGIC:
             return _read_embeddings_binary(path, f)
-    return _read_embeddings_tsv(path)
+        return _read_embeddings_tsv(path, f, head)
 
 
 def _read_embeddings_binary(path, f: IO[bytes]) -> EmbeddingSet:
@@ -632,11 +635,12 @@ def _read_embeddings_binary(path, f: IO[bytes]) -> EmbeddingSet:
         return EmbeddingSet(ids, matrix)
 
 
-def _read_embeddings_tsv(path) -> EmbeddingSet:
+def _read_embeddings_tsv(path, f: IO[bytes] | None = None, head: bytes = b"") -> EmbeddingSet:
+    """Read TSV records; `f` and `head` are as for `_iter_blocks`."""
     ids: list[str] = []
     rows: list[np.ndarray] = []
     lines: list[int] = []
-    for lineno, line in _iter_lines(path):
+    for lineno, line in _iter_lines(path, f, head):
         if "\t" not in line:
             raise ParseError(path, "expected 'id<TAB>v1 v2 ...'", lineno)
         eid, rest = line.split("\t", 1)

@@ -26,6 +26,7 @@ so identical configs reproduce identical splits on any platform.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -158,9 +159,13 @@ class FoldSpec:
         all_ids = [i for bucket in self.buckets for i in bucket]
         if len(set(all_ids)) != len(all_ids):
             raise DataError("buckets must partition the queries; found a duplicate id")
-        missing = set(self.train_ids) - set(all_ids)
+        missing = self._train_set.difference(all_ids)
         if missing:
             raise DataError(f"training ids missing from buckets: {sorted(missing)[:5]}")
+
+    @functools.cached_property
+    def _train_set(self) -> frozenset[str]:
+        return frozenset(self.train_ids)
 
     @property
     def bucket_of(self) -> dict[str, int]:
@@ -168,23 +173,19 @@ class FoldSpec:
 
     @property
     def test_ids(self) -> tuple[str, ...]:
-        train = set(self.train_ids)
-        return tuple(i for bucket in self.buckets for i in bucket if i not in train)
+        return tuple(i for bucket in self.buckets for i in bucket if i not in self._train_set)
 
     def fold_training_ids(self, fold: int) -> tuple[str, ...]:
-        train = set(self.train_ids)
         return tuple(
-            i for b, bucket in enumerate(self.buckets) if b != fold for i in bucket if i in train
+            i for b, bucket in enumerate(self.buckets) if b != fold for i in bucket if i in self._train_set
         )
 
     def fold_extrapolation_test_ids(self, fold: int) -> tuple[str, ...]:
-        train = set(self.train_ids)
-        return tuple(i for i in self.buckets[fold] if i not in train)
+        return tuple(i for i in self.buckets[fold] if i not in self._train_set)
 
     def fold_interpolation_test_ids(self, fold: int) -> tuple[str, ...]:
-        train = set(self.train_ids)
         return tuple(
-            i for b, bucket in enumerate(self.buckets) if b != fold for i in bucket if i not in train
+            i for b, bucket in enumerate(self.buckets) if b != fold for i in bucket if i not in self._train_set
         )
 
 
@@ -370,21 +371,6 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
     )
 
 
-def _round_robin_union(neighbor_lists) -> list[str]:
-    """Dedup neighbors column by column: rank 1 of every test query, then rank 2, ..."""
-    seq: list[str] = []
-    seen: set[str] = set()
-    depth = max((len(nl.neighbors) for nl in neighbor_lists), default=0)
-    for rank in range(depth):
-        for nl in neighbor_lists:
-            if rank < len(nl.neighbors):
-                nid = nl.neighbors[rank][0]
-                if nid not in seen:
-                    seen.add(nid)
-                    seq.append(nid)
-    return seq
-
-
 def restrain_interpolation(
     train: QuerySet,
     test: QuerySet,
@@ -416,20 +402,24 @@ def restrain_interpolation(
     depth = min(cfg.target_size, share + extra)
     scans = 0
     while True:
-        lists = knn(te, tr, depth, measure=cfg.measure)
+        index, _ = knn(te, tr, depth, measure=cfg.measure)
         scans += 1
-        seq = _round_robin_union(lists)
-        if len(seq) >= cfg.target_size:
+        # the union in round-robin order: rank 1 of every test query, then
+        # rank 2, ..., each row position at its first occurrence
+        rank_major = index.T.ravel()
+        _, first = np.unique(rank_major, return_index=True)
+        if len(first) >= cfg.target_size:
             break
         # short, so depth < target_size <= n_train
         depth = min(cfg.target_size, depth * 2)
     logger.info(
         "restrain inter: depth %d, %d knn scan(s), union of %d for size %d",
-        depth, scans, len(seq), cfg.target_size,
+        depth, scans, len(first), cfg.target_size,
     )
+    union = rank_major[np.sort(first)[: cfg.target_size]]
     return SplitSpec(
         regime="interpolation",
-        training_ids=tuple(seq[: cfg.target_size]),
+        training_ids=tuple(tr.ids[j] for j in union.tolist()),
         test_ids=test.ids,
         provenance=cfg.provenance(),
     )
@@ -448,9 +438,10 @@ def restrain_extrapolation(
     tr = train_emb.subset(train.ids)
     te = test_emb.subset(test.ids)
     depth = min(cfg.exclude_depth, len(train))
-    lists = knn(te, tr, depth, measure=cfg.measure)
-    excluded = {nid for nl in lists for nid, _ in nl.neighbors}
-    remaining = [qid for qid in train.ids if qid not in excluded]
+    index, _ = knn(te, tr, depth, measure=cfg.measure)
+    excluded = np.zeros(len(tr), dtype=bool)
+    excluded[index] = True
+    remaining = np.flatnonzero(~excluded)
     if len(remaining) < cfg.target_size:
         raise DataError(
             f"excluding top-{cfg.exclude_depth} neighborhoods leaves {len(remaining)} "
@@ -460,7 +451,7 @@ def restrain_extrapolation(
     picks = rng.choice(len(remaining), size=cfg.target_size, replace=False)
     return SplitSpec(
         regime="extrapolation",
-        training_ids=tuple(remaining[int(i)] for i in picks),
+        training_ids=tuple(tr.ids[j] for j in remaining[picks].tolist()),
         test_ids=test.ids,
         provenance=cfg.provenance(),
     )

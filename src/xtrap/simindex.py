@@ -29,6 +29,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,14 +46,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 # partition copy inside _top_k peak at 8 bytes per element (256 MiB here)
 _KNN_BLOCK_ELEMENTS = 32 * 1024 * 1024
 _KNN_BLOCK_MIN_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    """Ranked training neighbors of one test query, best first."""
-
-    query_id: str
-    neighbors: tuple[tuple[str, float], ...]
 
 
 @dataclass(frozen=True)
@@ -133,12 +126,14 @@ def knn(
     train: EmbeddingSet,
     k: int,
     measure: str = "inner_product",
-) -> list[NeighborList]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k training neighbors for every test query.
 
-    A score is the float64 dot product of the two vectors, or of the two
-    unit vectors for cosine. Scores descend; ties break by ascending
-    neighbor id.
+    Returns `(index, scores)`, two `(len(test), k)` arrays: row i holds the
+    neighbors of `test.ids[i]` best first, as `intp` row positions in
+    `train` and their float64 scores. A score is the float64 dot product of
+    the two vectors, or of the two unit vectors for cosine. Scores descend;
+    ties break by ascending neighbor id.
     """
     _check_measure(measure)
     n_train = len(train)
@@ -253,18 +248,18 @@ def knn(
         n_test * n_train, rows.size, rows.size / max(1, n_test * k),
     )
 
-    lists = []
-    train_ids = train.ids
-    for qid, query, cand in zip(test.ids, queries, groups):
+    index = np.empty((n_test, k), dtype=np.intp)
+    top_scores = np.empty((n_test, k))
+    for i, (query, cand) in enumerate(zip(queries, groups)):
         vecs = train.matrix[cand].astype(np.float64)
         if cosine:
             vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
         # one dot product per pair: a gemv rounds a row by its batch position
         exact = np.vecdot(vecs, query)
         top = np.lexsort((id_rank[cand], -exact))[:k]
-        ids = [train_ids[c] for c in cand[top].tolist()]
-        lists.append(NeighborList(query_id=qid, neighbors=tuple(zip(ids, exact[top].tolist()))))
-    return lists
+        index[i] = cand[top]
+        top_scores[i] = exact[top]
+    return index, top_scores
 
 
 def tokenize(text: str) -> list[str]:
@@ -307,9 +302,9 @@ def bm25_search(
     query_text: str,
     k: int,
     params: Bm25Params = Bm25Params(),
-    query_id: str = "",
-) -> NeighborList:
-    """Top-k docs by BM25 score, ties by ascending doc id; zero scores excluded.
+) -> tuple[tuple[str, float], ...]:
+    """Top-k (doc id, score) pairs by BM25 score, best first, ties by
+    ascending doc id; zero scores excluded.
 
     score(q,d) = sum over distinct matched terms of
     idf(t) * tf*(k1+1) / (tf + k1*(1-b+b*len/avgdl)), with the
@@ -331,10 +326,7 @@ def bm25_search(
     matched = np.flatnonzero(scores > 0.0)
     top = matched[_top_k(scores[None, matched], k)[0]]
     top = top[np.argsort(-scores[top], kind="stable")]
-    return NeighborList(
-        query_id=query_id,
-        neighbors=tuple((index.doc_ids[o], float(scores[o])) for o in top),
-    )
+    return tuple((index.doc_ids[o], float(scores[o])) for o in top)
 
 
 def bm25_grid_search(
@@ -349,10 +341,7 @@ def bm25_grid_search(
         raise ValueError("parameter grid must not be empty")
 
     def mean(params: Bm25Params) -> float:
-        rankings = {
-            q.id: bm25_search(index, q.text, spec.cutoff, params, query_id=q.id).neighbors
-            for q in train_queries
-        }
+        rankings = {q.id: bm25_search(index, q.text, spec.cutoff, params) for q in train_queries}
         return score_run(RunSet(rankings), qrels, spec).mean
 
     return max(grid, key=lambda p: (mean(p), -p.k1, -p.b))
@@ -373,14 +362,13 @@ def recall_candidates(
         raise ValueError("per_channel must be >= 1")
     te = test_emb.subset(test.ids)
     tr = train_emb.subset(train.ids)
-    dense = knn(te, tr, per_channel, measure=measure)
+    dense, _ = knn(te, tr, per_channel, measure=measure)
     index = Bm25Index(train)
     pools: dict[str, list[str]] = {}
-    for query, dense_list in zip(test, dense):
-        pool = [nid for nid, _ in dense_list.neighbors]
+    for query, row in zip(test, dense.tolist()):
+        pool = [tr.ids[j] for j in row]
         seen = set(pool)
-        lexical = bm25_search(index, query.text, per_channel, params, query_id=query.id)
-        for nid, _ in lexical.neighbors:
+        for nid, _ in bm25_search(index, query.text, per_channel, params):
             if nid not in seen:
                 seen.add(nid)
                 pool.append(nid)
@@ -388,12 +376,15 @@ def recall_candidates(
     return pools
 
 
-def write_neighbor_lists(lists: list[NeighborList], path) -> None:
-    """TSV `test_id<TAB>rank<TAB>neighbor_id<TAB>score`, 6 significant digits."""
+def write_neighbor_lists(
+    test_ids: Sequence[str], train_ids: Sequence[str], index: np.ndarray, scores: np.ndarray, path
+) -> None:
+    """TSV `test_id<TAB>rank<TAB>neighbor_id<TAB>score` from `knn`'s arrays,
+    6 significant digits."""
     with atomic_output(path) as f:
-        for nl in lists:
-            for rank, (nid, score) in enumerate(nl.neighbors, start=1):
-                f.write(f"{nl.query_id}\t{rank}\t{nid}\t{score:.6g}\n")
+        for qid, row, row_scores in zip(test_ids, index.tolist(), scores.tolist()):
+            for rank, (j, score) in enumerate(zip(row, row_scores), start=1):
+                f.write(f"{qid}\t{rank}\t{train_ids[j]}\t{score:.6g}\n")
 
 
 def write_candidate_pools(pools: dict[str, list[str]], path) -> None:

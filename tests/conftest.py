@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xtrap.dataio import EmbeddingSet, Query, QuerySet
+from xtrap.simindex import knn
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -28,3 +29,13 @@ def make_queries(ids, texts=None) -> QuerySet:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def knn_lists(test, train, k, measure="inner_product"):
+    """`knn`'s arrays as [(test id, [(train id, score), ...]), ...], the
+    shape of `oracles.knn_all_pairs`."""
+    index, scores = knn(test, train, k, measure=measure)
+    return [
+        (qid, [(train.ids[j], s) for j, s in zip(row, row_scores)])
+        for qid, row, row_scores in zip(test.ids, index.tolist(), scores.tolist())
+    ]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import FIXTURES, make_embeddings, make_queries, random_embeddings
+from conftest import FIXTURES, knn_lists, make_embeddings, make_queries, random_embeddings
 from xtrap import cli
 from xtrap.dataio import QrelSet, RunSet
 from xtrap.metrics import MetricSpec, score_run
@@ -165,11 +165,12 @@ class TestC3KnnExactness:
                 train = random_embeddings(rng, "t", n_train, dim)
             test = random_embeddings(rng, "q", n_test, dim)
             for measure in ("inner_product", "cosine"):
-                got = knn(test, train, k, measure=measure)
+                got = knn_lists(test, train, k, measure=measure)
                 want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
-                for nl, (qid, expected) in zip(got, want):
-                    assert nl.query_id == qid
-                    assert [n for n, _ in nl.neighbors] == [n for n, _ in expected]
+                assert len(got) == len(want)
+                for (qid, neighbors), (want_qid, expected) in zip(got, want):
+                    assert qid == want_qid
+                    assert [n for n, _ in neighbors] == [n for n, _ in expected]
             instances += 1
         assert instances == 100
         print("\nACCEPTANCE C3 (kNN equals full-sort oracle on 100 instances x both measures): PASS")
@@ -341,11 +342,10 @@ class TestC8Performance:
         train = EmbeddingSet([f"t{i:06d}" for i in range(500_000)], train_mat)
         test = EmbeddingSet([f"q{i:04d}" for i in range(1_000)], test_mat)
         started = time.monotonic()
-        lists = knn(test, train, 100)
+        index, scores = knn(test, train, 100)
         elapsed = time.monotonic() - started
         peak_gib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / GiB
-        assert len(lists) == 1_000
-        assert all(len(nl.neighbors) == 100 for nl in lists)
+        assert index.shape == scores.shape == (1_000, 100)
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
         assert peak_gib < 4.0, f"peak RSS {peak_gib:.2f} GiB"
         print(f"\nACCEPTANCE C8 (500k x 1k x 768 kNN in {elapsed:.1f}s, peak {peak_gib:.2f} GiB): PASS")

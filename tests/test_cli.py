@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,32 @@ class TestPcaCli:
         assert cli.main(["pca", "--emb", str(emb), "-o", str(tmp_path / "pca.tsv")]) == 2
         assert f"{emb}: offset 8: count 1099511627776" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_tsv_embeddings_from_a_named_pipe(self, tmp_path):
+        # a pipe is read once: the format is sniffed from the file the TSV
+        # is then parsed from, not from a second open that waits forever
+        fifo = tmp_path / "emb.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as f:
+                f.write("a\t1 0 0\nb\t0 2 0\nc\t0 0 3\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out = tmp_path / "pca.tsv"
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "xtrap", "pca", "--emb", str(fifo), "-o", str(out)],
+                capture_output=True, text=True, env=_subprocess_env(), timeout=30,
+            )
+        finally:
+            # release the writer if the command never opened the pipe
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert result.returncode == 0, result.stderr
+        assert [line.split("\t")[0] for line in out.read_text().splitlines()] == ["a", "b", "c"]
+
 
 class TestOutputPath:
     def test_symlink_output_written_through(self, tmp_path):
@@ -453,12 +480,15 @@ class TestOutputPath:
         assert f"No such file or directory: '{out}'" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path):
+def _subprocess_env() -> dict[str, str]:
     # the subprocess does not see pytest's pythonpath setting
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "xtrap", "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "xtrap", "--help"], capture_output=True, text=True, env=_subprocess_env()
     )
     assert result.returncode == 0
     assert "COMMAND" in result.stdout

@@ -2,10 +2,11 @@ import logging
 import re
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -388,6 +389,73 @@ class TestRestrainExtrapolation:
         assert restrain_extrapolation(*args).training_ids == restrain_extrapolation(*args).training_ids
 
 
+def fixed_knn(index):
+    """A `knn` stand-in whose depth-k result is the first k columns of `index`."""
+
+    def fake(test, train, k, measure):
+        return index[:, :k], np.zeros((len(index), k))
+
+    return fake
+
+
+def stub_inputs(n_train, n_test):
+    """Query and embedding sets for a faked `knn`: only the ids matter."""
+    train_ids = [f"t{i}" for i in range(n_train)]
+    test_ids = [f"q{i}" for i in range(n_test)]
+    return (
+        make_queries(train_ids),
+        make_queries(test_ids),
+        make_embeddings(train_ids, np.zeros((n_train, 1))),
+        make_embeddings(test_ids, np.zeros((n_test, 1))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_train=st.integers(1, 8),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    size_share=st.floats(0.0, 1.0),
+)
+@example(n_train=6, picks=[0], seed=0, size_share=1.0)  # a single row
+@example(n_train=6, picks=[1, 1, 1, 1], seed=0, size_share=1.0)  # every row identical
+@example(n_train=6, picks=[0, 1, 2], seed=0, size_share=0.0)  # size 1: a depth-1 scan
+def test_interpolation_union_matches_round_robin_oracle(n_train, picks, seed, size_share):
+    # each row is one of three permutations of a few training rows, so the
+    # rows overlap heavily; a full row holds every id, so any size is reached
+    rng = np.random.default_rng(seed)
+    perms = [rng.permutation(n_train) for _ in range(3)]
+    index = np.asarray([perms[p] for p in picks], dtype=np.intp)
+    size = max(1, round(size_share * n_train))
+    train, test, train_emb, test_emb = stub_inputs(n_train, len(picks))
+    with mock.patch("xtrap.resample.knn", fixed_knn(index)):
+        split = restrain_interpolation(train, test, train_emb, test_emb, ReSTrainConfig(target_size=size))
+    want = oracles.round_robin_union([[train.ids[j] for j in row] for row in index.tolist()], size)
+    assert list(split.training_ids) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_extrapolation_remaining_ids_in_train_order(n_train, n_test, seed, data):
+    rng = np.random.default_rng(seed)
+    index = np.asarray([rng.permutation(n_train) for _ in range(n_test)], dtype=np.intp)
+    depth = data.draw(st.integers(1, n_train))
+    train, test, train_emb, test_emb = stub_inputs(n_train, n_test)
+    excluded = {train.ids[j] for j in index[:, :depth].ravel().tolist()}
+    remaining = [t for t in train.ids if t not in excluded]
+    size = data.draw(st.integers(1, max(1, len(remaining))))
+    cfg = ReSTrainConfig(target_size=size, exclude_depth=depth, seed=seed)
+    with mock.patch("xtrap.resample.knn", fixed_knn(index)):
+        if not remaining:
+            with pytest.raises(DataError, match="leaves 0 training queries"):
+                restrain_extrapolation(train, test, train_emb, test_emb, cfg)
+            return
+        split = restrain_extrapolation(train, test, train_emb, test_emb, cfg)
+    # the sample is drawn from the remaining ids in train order
+    picked = np.random.Generator(np.random.PCG64(seed)).choice(len(remaining), size=size, replace=False)
+    assert split.training_ids == tuple(remaining[i] for i in picked.tolist())
+
+
 class TestSplitSpecValidation:
     def test_overlap_rejected(self):
         with pytest.raises(DataError):
@@ -656,7 +724,7 @@ class TestManifest:
             write_manifest(split, tmp_path / "m.txt")
 
     def test_splitspec_roundtrip_property(self, tmp_path):
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         token = st.text(

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 import xtrap
-from conftest import make_embeddings, make_queries, random_embeddings
+from conftest import knn_lists, make_embeddings, make_queries, random_embeddings
 from xtrap.dataio import DataError, QrelSet
 from xtrap.metrics import MetricSpec, score_run
 from xtrap.simindex import (
@@ -48,17 +48,24 @@ class TestKnn:
     def test_orthogonal_basis(self):
         train = make_embeddings(["a", "b"], [[1, 0], [0, 1]])
         test = make_embeddings(["q"], [[1, 0]])
-        (nl,) = knn(test, train, 1)
-        assert nl.neighbors == (("a", 1.0),)
-        (nl,) = knn(test, train, 2)
-        assert nl.neighbors == (("a", 1.0), ("b", 0.0))
+        assert knn_lists(test, train, 1) == [("q", [("a", 1.0)])]
+        assert knn_lists(test, train, 2) == [("q", [("a", 1.0), ("b", 0.0)])]
+
+    def test_returns_row_positions_and_scores(self):
+        train = make_embeddings(["c", "a", "b"], [[0, 1], [1, 0], [1, 1]])
+        test = make_embeddings(["q0", "q1"], [[1, 0], [0, 2]])
+        index, scores = knn(test, train, 2)
+        assert index.dtype == np.intp and scores.dtype == np.float64
+        # ties go to the lower id, not the lower row: b (row 2) before c (row 0)
+        assert index.tolist() == [[1, 2], [2, 0]]
+        assert scores.tolist() == [[1.0, 1.0], [2.0, 2.0]]
 
     def test_k_larger_than_train_warns(self, caplog):
         train = make_embeddings(["a"], [[1.0]])
         test = make_embeddings(["q"], [[1.0]])
         with caplog.at_level("WARNING"):
-            (nl,) = knn(test, train, 5)
-        assert len(nl.neighbors) == 1
+            index, scores = knn(test, train, 5)
+        assert index.shape == scores.shape == (1, 1)
         assert any("exceeds" in r.message for r in caplog.records)
 
     def test_dim_mismatch(self):
@@ -76,8 +83,8 @@ class TestKnn:
         # three identical vectors must rank by id
         train = make_embeddings(["c", "a", "b"], [[1, 0]] * 3)
         test = make_embeddings(["q"], [[2, 0]])
-        (nl,) = knn(test, train, 3)
-        assert [n for n, _ in nl.neighbors] == ["a", "b", "c"]
+        ((_, neighbors),) = knn_lists(test, train, 3)
+        assert [n for n, _ in neighbors] == ["a", "b", "c"]
 
     @pytest.mark.parametrize("measure", ["inner_product", "cosine"])
     def test_matches_all_pairs_oracle(self, rng, measure):
@@ -88,13 +95,14 @@ class TestKnn:
             k = int(rng.integers(1, n_train + 1))
             train = random_embeddings(rng, "t", n_train, dim)
             test = random_embeddings(rng, "q", n_test, dim)
-            got = knn(test, train, k, measure=measure)
+            got = knn_lists(test, train, k, measure=measure)
             want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
-            for nl, (qid, expected) in zip(got, want):
-                assert nl.query_id == qid
-                assert [n for n, _ in nl.neighbors] == [n for n, _ in expected]
+            assert len(got) == len(want)
+            for (qid, neighbors), (want_qid, expected) in zip(got, want):
+                assert qid == want_qid
+                assert [n for n, _ in neighbors] == [n for n, _ in expected]
                 np.testing.assert_allclose(
-                    [s for _, s in nl.neighbors], [s for _, s in expected], rtol=1e-12, atol=1e-12
+                    [s for _, s in neighbors], [s for _, s in expected], rtol=1e-12, atol=1e-12
                 )
 
     def test_ties_within_one_block_match_oracle(self, rng):
@@ -103,10 +111,10 @@ class TestKnn:
         mat = np.vstack([base, base, base])
         train = make_embeddings([f"t{i:03d}" for i in range(60)], mat)
         test = make_embeddings(["q0", "q1"], rng.integers(-3, 4, size=(2, 4)))
-        got = knn(test, train, 17)
+        got = knn_lists(test, train, 17)
         want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, 17, "inner_product")
-        for nl, (_, expected) in zip(got, want):
-            assert [n for n, _ in nl.neighbors] == [n for n, _ in expected]
+        for (_, neighbors), (_, expected) in zip(got, want):
+            assert [n for n, _ in neighbors] == [n for n, _ in expected]
 
     def test_ties_across_scan_blocks_match_oracle(self, rng, monkeypatch):
         # tiny blocks force the candidate merge to span many block boundaries,
@@ -118,13 +126,11 @@ class TestKnn:
         train = make_embeddings([f"t{i:03d}" for i in range(60)], mat)
         test = make_embeddings(["q0", "q1", "q2"], rng.integers(-2, 3, size=(3, 3)))
         for k in (1, 7, 23, 60):
-            got = knn(test, train, k)
+            got = knn_lists(test, train, k)
             want = oracles.knn_all_pairs(
                 test.ids, test.matrix, train.ids, train.matrix, k, "inner_product"
             )
-            for nl, (_, expected) in zip(got, want):
-                assert [n for n, _ in nl.neighbors] == [n for n, _ in expected]
-                assert [s for _, s in nl.neighbors] == [s for _, s in expected]
+            assert got == want
 
     def test_partitions_whole_block_only_until_floor_is_finite(self, rng, monkeypatch):
         # four 50-row blocks: the first raises every floor to a finite value,
@@ -144,10 +150,10 @@ class TestKnn:
         test = random_embeddings(rng, "q", 6, 5)
         for measure in MEASURES:
             widths.clear()
-            got = knn(test, train, 4, measure=measure)
+            got = knn_lists(test, train, 4, measure=measure)
             assert widths == [50]
             want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, 4, measure)
-            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
+            assert got == want
 
     def test_whole_later_blocks_raising_the_floor(self, rng, monkeypatch):
         # training rows ascend along the queries' direction, so each later
@@ -160,17 +166,16 @@ class TestKnn:
         queries[:, 0] = 1.0
         test = make_embeddings([f"q{i}" for i in range(6)], queries)
         for measure in MEASURES:
-            got = knn(test, train, 4, measure=measure)
+            got = knn_lists(test, train, 4, measure=measure)
             want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, 4, measure)
-            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
+            assert got == want
 
     def test_float32_tie_is_separated_in_float64(self):
         # q.t_b = 1 + 2^-24 rounds to 1 = q.t_a in float32; only the float64
         # rescore puts t_b, the larger id, first
         train = make_embeddings(["a", "b"], [[1, 0], [1, 2.0**-12]])
         test = make_embeddings(["q"], [[1, 2.0**-12]])
-        (nl,) = knn(test, train, 1)
-        assert nl.neighbors == (("b", 1.0 + 2.0**-24),)
+        assert knn_lists(test, train, 1) == [("q", [("b", 1.0 + 2.0**-24)])]
 
     @pytest.mark.parametrize("measure", ["inner_product", "cosine"])
     def test_extreme_magnitudes_match_oracle(self, measure):
@@ -182,14 +187,16 @@ class TestKnn:
         train = make_embeddings([f"t{i}" for i in range(len(rows))], rows)
         test = make_embeddings(["big", "one", "tiny"], [[1e37, 1e37], [1, 2], [1e-40, -3e-41]])
         for k in range(1, len(rows) + 1):
-            got = knn(test, train, k, measure=measure)
+            got = knn_lists(test, train, k, measure=measure)
             want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
-            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
+            assert got == want
 
     def test_empty_test_set(self):
         train = make_embeddings(["a"], [[1, 0]])
         test = make_embeddings([], np.zeros((0, 2)))
-        assert knn(test, train, 1) == knn(test, train, 1, measure="cosine") == []
+        for measure in MEASURES:
+            index, scores = knn(test, train, 1, measure=measure)
+            assert index.shape == scores.shape == (0, 1)
 
     def test_memory_is_bounded(self, rng, monkeypatch):
         # four blocks of 10k training rows; a float64 score block and its
@@ -200,12 +207,12 @@ class TestKnn:
         score_block = 200 * 10_000 * 4
         tracemalloc.start()
         try:
-            lists = knn(test, train, 10)
+            index, scores = knn(test, train, 10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 3 * score_block + test.matrix.size * 8
-        assert all(len(nl.neighbors) == 10 for nl in lists)
+        assert index.shape == scores.shape == (200, 10)
 
     def test_logs_screen_counts(self, caplog):
         train = make_embeddings(["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
@@ -220,43 +227,41 @@ class TestKnn:
         train = random_embeddings(rng, "t", 40, 5)
         test = random_embeddings(rng, "q", 6, 5)
         scaled = make_embeddings(train.ids, train.matrix * np.float32(2.0))
-        base = knn(test, train, 7)
-        doubled = knn(test, scaled, 7)
-        for a, b in zip(base, doubled):
-            assert [n for n, _ in a.neighbors] == [n for n, _ in b.neighbors]
-            assert [2.0 * s for _, s in a.neighbors] == [s for _, s in b.neighbors]
+        index, scores = knn(test, train, 7)
+        doubled_index, doubled = knn(test, scaled, 7)
+        assert doubled_index.tolist() == index.tolist()
+        assert doubled.tolist() == (2.0 * scores).tolist()
 
     def test_scaling_leaves_cosine_scores_unchanged(self, rng):
         train = random_embeddings(rng, "t", 40, 5)
         test = random_embeddings(rng, "q", 6, 5)
         scaled = make_embeddings(train.ids, train.matrix * np.float32(2.0))
-        assert knn(test, train, 7, measure="cosine") == knn(test, scaled, 7, measure="cosine")
+        assert knn_lists(test, train, 7, measure="cosine") == knn_lists(test, scaled, 7, measure="cosine")
 
     def test_arbitrary_scaling_keeps_order(self, rng):
         train = random_embeddings(rng, "t", 50, 4)
         test = random_embeddings(rng, "q", 5, 4)
         scaled = make_embeddings(train.ids, train.matrix * np.float32(3.7))
-        for a, b in zip(knn(test, train, 8), knn(test, scaled, 8)):
-            assert [n for n, _ in a.neighbors] == [n for n, _ in b.neighbors]
-            np.testing.assert_allclose(
-                [3.7 * s for _, s in a.neighbors], [s for _, s in b.neighbors], rtol=1e-6
-            )
+        index, scores = knn(test, train, 8)
+        scaled_index, scaled_scores = knn(test, scaled, 8)
+        assert scaled_index.tolist() == index.tolist()
+        np.testing.assert_allclose(3.7 * scores, scaled_scores, rtol=1e-6)
 
 
 class TestBm25:
     def test_hand_evaluated_score(self):
         index = Bm25Index(make_queries(["d1", "d2"], ["cat", "dog"]))
-        (doc,) = bm25_search(index, "cat", 5, Bm25Params(k1=1.2, b=0.75)).neighbors
+        (doc,) = bm25_search(index, "cat", 5, Bm25Params(k1=1.2, b=0.75))
         assert doc[0] == "d1"
         assert doc[1] == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_no_match_is_empty(self):
         index = Bm25Index(make_queries(["d1", "d2"], ["cat", "dog"]))
-        assert bm25_search(index, "bird", 5).neighbors == ()
+        assert bm25_search(index, "bird", 5) == ()
 
     def test_empty_query_is_empty(self):
         index = Bm25Index(make_queries(["d1"], ["cat"]))
-        assert bm25_search(index, "", 5).neighbors == ()
+        assert bm25_search(index, "", 5) == ()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
@@ -272,7 +277,7 @@ class TestBm25:
         corpus = dict(zip(ids, texts))
         for query in ["cat dog", "fish", "bird tree car", "cat cat dog"]:
             params = Bm25Params(k1=float(rng.uniform(0.5, 2.0)), b=float(rng.uniform(0, 1)))
-            got = dict(bm25_search(index, query, 20, params).neighbors)
+            got = dict(bm25_search(index, query, 20, params))
             want = oracles.bm25_scores(corpus, query, params.k1, params.b)
             assert set(got) == set(want)
             for d in want:
@@ -281,11 +286,11 @@ class TestBm25:
     def test_tie_breaks_by_doc_id(self):
         index = Bm25Index(make_queries(["b", "a"], ["cat", "cat"]))
         result = bm25_search(index, "cat", 2)
-        assert [d for d, _ in result.neighbors] == ["a", "b"]
+        assert [d for d, _ in result] == ["a", "b"]
         # the tie crosses the cut, and file order is not id order
         index = Bm25Index(make_queries(["c", "b", "a"], ["cat", "cat", "cat"]))
         result = bm25_search(index, "cat", 2)
-        assert [d for d, _ in result.neighbors] == ["a", "b"]
+        assert [d for d, _ in result] == ["a", "b"]
 
     def test_more_occurrences_never_decrease_score_b0(self, rng):
         params = Bm25Params(k1=1.4, b=0.0)
@@ -295,8 +300,8 @@ class TestBm25:
             texts = ["cat " * reps + "dog", *others]
             more = ["cat " * (reps + 1) + "dog", *others]
             ids = [f"d{i}" for i in range(len(texts))]
-            base = dict(bm25_search(Bm25Index(make_queries(ids, texts)), "cat", 10, params).neighbors)
-            bumped = dict(bm25_search(Bm25Index(make_queries(ids, more)), "cat", 10, params).neighbors)
+            base = dict(bm25_search(Bm25Index(make_queries(ids, texts)), "cat", 10, params))
+            bumped = dict(bm25_search(Bm25Index(make_queries(ids, more)), "cat", 10, params))
             assert bumped["d0"] >= base["d0"]
 
     def test_params_validated(self):
@@ -349,12 +354,7 @@ class TestGridSearch:
 
         scored = []
         for params in grid:
-            run = RunSet(
-                {
-                    q.id: bm25_search(index, q.text, spec.cutoff, params).neighbors
-                    for q in queries
-                }
-            )
+            run = RunSet({q.id: bm25_search(index, q.text, spec.cutoff, params) for q in queries})
             scored.append((score_run(run, qrels, spec).mean, params))
         best_mean = max(m for m, _ in scored)
         want = min((p for m, p in scored if m == best_mean), key=lambda p: (p.k1, p.b))
@@ -403,15 +403,10 @@ class TestRecallCandidates:
         test_emb = make_embeddings(test_ids, rng.normal(size=(6, 6)))
         pools = recall_candidates(test, train, test_emb, train_emb, per_channel=4)
 
-        dense = {
-            qid: [n for n, _ in lst]
-            for qid, lst in (
-                (nl.query_id, nl.neighbors) for nl in knn(test_emb, train_emb, 4)
-            )
-        }
+        dense = {qid: [n for n, _ in lst] for qid, lst in knn_lists(test_emb, train_emb, 4)}
         index = Bm25Index(train)
         for qid, text in zip(test_ids, test_texts):
-            lexical = [n for n, _ in bm25_search(index, text, 4).neighbors]
+            lexical = [n for n, _ in bm25_search(index, text, 4)]
             assert set(pools[qid]) == set(dense[qid]) | set(lexical)
             assert pools[qid][: len(dense[qid])] == dense[qid]
 
@@ -429,21 +424,19 @@ class TestSerialization:
     def test_neighbor_tsv_format_and_determinism(self, tmp_path, rng):
         train = random_embeddings(rng, "t", 20, 3)
         test = random_embeddings(rng, "q", 3, 3)
-        lists = knn(test, train, 4)
         p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        write_neighbor_lists(lists, p1)
-        write_neighbor_lists(knn(test, train, 4), p2)
+        write_neighbor_lists(test.ids, train.ids, *knn(test, train, 4), p1)
+        write_neighbor_lists(test.ids, train.ids, *knn(test, train, 4), p2)
         assert p1.read_bytes() == p2.read_bytes()
         line = p1.read_text().splitlines()[0].split("\t")
         assert len(line) == 4
         assert line[0] == "q0000" and line[1] == "1"
 
     def test_scores_use_six_significant_digits(self, tmp_path):
-        from xtrap.simindex import NeighborList
-
-        lists = [NeighborList("q", (("a", 0.123456789), ("b", 123456789.0)))]
+        index = np.array([[1, 0]], dtype=np.intp)
+        scores = np.array([[0.123456789, 123456789.0]])
         path = tmp_path / "n.tsv"
-        write_neighbor_lists(lists, path)
+        write_neighbor_lists(["q"], ["b", "a"], index, scores, path)
         assert path.read_text() == "q\t1\ta\t0.123457\nq\t2\tb\t1.23457e+08\n"
 
 
@@ -458,11 +451,11 @@ def test_knn_property_matches_oracle(vectors, k):
     mat = np.asarray(vectors, dtype=np.float32)
     train = make_embeddings([f"t{i:02d}" for i in range(len(vectors))], mat)
     test = make_embeddings(["q"], [[1, 2, 3]])
-    (nl,) = knn(test, train, min(k, len(vectors)))
+    ((_, neighbors),) = knn_lists(test, train, min(k, len(vectors)))
     (want,) = oracles.knn_all_pairs(
         test.ids, test.matrix, train.ids, train.matrix, min(k, len(vectors)), "inner_product"
     )
-    assert [n for n, _ in nl.neighbors] == [n for n, _ in want[1]]
+    assert [n for n, _ in neighbors] == [n for n, _ in want[1]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -489,8 +482,8 @@ def test_knn_screen_matches_oracle_exactly(dim, n_base, data):
                 if rows is not None:
                     mp.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
                     mp.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", rows * len(test))
-                got = knn(test, train, k, measure=measure)
-            assert [(nl.query_id, list(nl.neighbors)) for nl in got] == want
+                got = knn_lists(test, train, k, measure=measure)
+            assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -552,7 +545,7 @@ vocab = [f"term{i}" for i in range(24)]
 docs = [Query("d0", " ".join(vocab))]
 docs += [Query(f"f{i}", " ".join(vocab[: i + 1])) for i in range(23)]
 result = bm25_search(Bm25Index(QuerySet(docs)), " ".join(reversed(vocab)), 24)
-sys.stdout.write(repr(result.neighbors))
+sys.stdout.write(repr(result))
 """
 
 
