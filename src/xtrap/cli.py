@@ -86,11 +86,11 @@ def cmd_restrain(args) -> int:
         seed=args.seed,
         measure=args.measure,
     )
-    train, test, train_emb, test_emb = _read_aligned(args)
+    _, _, train_emb, test_emb = _read_aligned(args)
     if args.regime == "inter":
-        split = resample.restrain_interpolation(train, test, train_emb, test_emb, cfg)
+        split = resample.restrain_interpolation(train_emb, test_emb, cfg)
     else:
-        split = resample.restrain_extrapolation(train, test, train_emb, test_emb, cfg)
+        split = resample.restrain_extrapolation(train_emb, test_emb, cfg)
     resample.write_manifest(split, args.output)
     print(
         f"{split.regime} split: {len(split.training_ids)} training / "
@@ -107,11 +107,11 @@ def cmd_resttest(args) -> int:
         tol=args.tol,
         normalize=args.normalize,
     )
-    train, test, train_emb, test_emb = _read_aligned(args)
-    folds = resample.resttest_split(train, test, train_emb, test_emb, cfg)
+    _, _, train_emb, test_emb = _read_aligned(args)
+    folds = resample.resttest_split(train_emb, test_emb, cfg)
     resample.write_manifest(folds, args.output)
     sizes = ", ".join(str(len(b)) for b in folds.buckets)
-    print(f"{folds.k} buckets (sizes {sizes}) over {len(train)} train + {len(test)} test -> {args.output}")
+    print(f"{folds.k} buckets (sizes {sizes}) over {len(train_emb)} train + {len(test_emb)} test -> {args.output}")
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ nearest training queries and samples the remainder. The second strategy
 clusters training and test queries together with k-means and evaluates
 leave-one-bucket-out: models train on k-1 buckets, the held-out bucket's
 test queries score extrapolation, the rest score interpolation, and each
-test query is therefore scored k-1 times for interpolation.
+test query is therefore scored k-1 times for interpolation. Both take
+the training and test embedding sets as the query sets: their ids, in
+their order.
 
 k-means is exact in float64 and bitwise reproducible. k-means++ seeding
 samples from the exact float64 squared distances of every row. Each Lloyd
@@ -34,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, QuerySet, RunSet
+from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
 from .dataio import _iter_lines, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run
 from .simindex import MEASURES, _rounding_bounds, knn
@@ -75,7 +77,7 @@ class KMeansConfig:
             raise ValueError("k must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
 
@@ -371,13 +373,17 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
     )
 
 
-def restrain_interpolation(
-    train: QuerySet,
-    test: QuerySet,
-    train_emb: EmbeddingSet,
-    test_emb: EmbeddingSet,
-    cfg: ReSTrainConfig,
-) -> SplitSpec:
+def _check_query_sets(train_emb: EmbeddingSet, test_emb: EmbeddingSet) -> None:
+    """The input rule of every resampling: a test set that is not empty and
+    shares no id with the training set."""
+    if len(test_emb) == 0:
+        raise DataError("test set is empty")
+    overlap = set(test_emb.ids).intersection(train_emb.ids)
+    if overlap:
+        raise DataError(f"train and test query ids overlap: {sorted(overlap)[:5]}")
+
+
+def restrain_interpolation(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: ReSTrainConfig) -> SplitSpec:
     """Training set = nearest training queries of the test set, exactly target_size.
 
     Per-test neighbor lists are merged in round-robin rank order and
@@ -386,23 +392,20 @@ def restrain_interpolation(
     at a deeper one: the split does not depend on the scan depth, and a
     smaller target yields a prefix of a larger one.
     """
-    if len(test) == 0:
-        raise DataError("test set is empty")
-    n_train = len(train)
+    _check_query_sets(train_emb, test_emb)
+    n_train = len(train_emb)
     if cfg.target_size > n_train:
         raise DataError(
             f"target_size {cfg.target_size} exceeds the {n_train} available training queries"
         )
-    tr = train_emb.subset(train.ids)
-    te = test_emb.subset(test.ids)
-    share = math.ceil(cfg.target_size / len(test))
+    share = math.ceil(cfg.target_size / len(test_emb))
     extra = min((_SCAN_SHARES - 1) * share, n_train // _SCAN_TRAIN_ROWS_PER_EXTRA_RANK)
     # one list of depth target_size holds target_size distinct ids, so no
     # scan needs to go deeper than that
     depth = min(cfg.target_size, share + extra)
     scans = 0
     while True:
-        index, _ = knn(te, tr, depth, measure=cfg.measure)
+        index, _ = knn(test_emb, train_emb, depth, measure=cfg.measure)
         scans += 1
         # the union in round-robin order: rank 1 of every test query, then
         # rank 2, ..., each row position at its first occurrence
@@ -419,27 +422,18 @@ def restrain_interpolation(
     union = rank_major[np.sort(first)[: cfg.target_size]]
     return SplitSpec(
         regime="interpolation",
-        training_ids=tuple(tr.ids[j] for j in union.tolist()),
-        test_ids=test.ids,
+        training_ids=tuple(train_emb.ids[j] for j in union.tolist()),
+        test_ids=test_emb.ids,
         provenance=cfg.provenance(),
     )
 
 
-def restrain_extrapolation(
-    train: QuerySet,
-    test: QuerySet,
-    train_emb: EmbeddingSet,
-    test_emb: EmbeddingSet,
-    cfg: ReSTrainConfig,
-) -> SplitSpec:
+def restrain_extrapolation(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: ReSTrainConfig) -> SplitSpec:
     """Training set sampled from queries outside every test query's neighborhood."""
-    if len(test) == 0:
-        raise DataError("test set is empty")
-    tr = train_emb.subset(train.ids)
-    te = test_emb.subset(test.ids)
-    depth = min(cfg.exclude_depth, len(train))
-    index, _ = knn(te, tr, depth, measure=cfg.measure)
-    excluded = np.zeros(len(tr), dtype=bool)
+    _check_query_sets(train_emb, test_emb)
+    depth = min(cfg.exclude_depth, len(train_emb))
+    index, _ = knn(test_emb, train_emb, depth, measure=cfg.measure)
+    excluded = np.zeros(len(train_emb), dtype=bool)
     excluded[index] = True
     remaining = np.flatnonzero(~excluded)
     if len(remaining) < cfg.target_size:
@@ -451,42 +445,32 @@ def restrain_extrapolation(
     picks = rng.choice(len(remaining), size=cfg.target_size, replace=False)
     return SplitSpec(
         regime="extrapolation",
-        training_ids=tuple(tr.ids[j] for j in remaining[picks].tolist()),
-        test_ids=test.ids,
+        training_ids=tuple(train_emb.ids[j] for j in remaining[picks].tolist()),
+        test_ids=test_emb.ids,
         provenance=cfg.provenance(),
     )
 
 
-def resttest_split(
-    train: QuerySet,
-    test: QuerySet,
-    train_emb: EmbeddingSet,
-    test_emb: EmbeddingSet,
-    cfg: KMeansConfig,
-) -> FoldSpec:
+def resttest_split(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: KMeansConfig) -> FoldSpec:
     """Cluster training and test queries together and derive leave-one-bucket-out folds."""
+    _check_query_sets(train_emb, test_emb)
     if cfg.k < 2:
         raise DataError("k must be >= 2: a single bucket leaves no training data")
-    overlap = set(train.ids) & set(test.ids)
-    if overlap:
-        raise DataError(f"train and test query ids overlap: {sorted(overlap)[:5]}")
-    tr = train_emb.subset(train.ids)
-    te = test_emb.subset(test.ids)
-    if tr.dim != te.dim:
-        raise DataError(f"dimension mismatch: train dim {tr.dim}, test dim {te.dim}")
-    combined = EmbeddingSet(list(train.ids) + list(test.ids), np.vstack([tr.matrix, te.matrix]))
+    if train_emb.dim != test_emb.dim:
+        raise DataError(f"dimension mismatch: train dim {train_emb.dim}, test dim {test_emb.dim}")
+    combined = EmbeddingSet(train_emb.ids + test_emb.ids, np.vstack([train_emb.matrix, test_emb.matrix]))
     result = kmeans(combined, cfg)
     buckets: list[list[str]] = [[] for _ in range(cfg.k)]
     for eid in combined.ids:
         buckets[result.assignment[eid]].append(eid)
-    train_set = set(train.ids)
+    train_set = set(train_emb.ids)
     for b, bucket in enumerate(buckets):
         if not any(i not in train_set for i in bucket):
             logger.warning("bucket %d contains no test queries; fold %d contributes no extrapolation scores", b, b)
     return FoldSpec(
         k=cfg.k,
         buckets=tuple(tuple(b) for b in buckets),
-        train_ids=train.ids,
+        train_ids=train_emb.ids,
         provenance={
             "seed": str(cfg.seed),
             "max_iters": str(cfg.max_iters),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import FIXTURES, knn_lists, make_embeddings, make_queries, random_embeddings
+from conftest import FIXTURES, knn_lists, make_embeddings, random_embeddings
 from xtrap import cli
 from xtrap.dataio import QrelSet, RunSet
 from xtrap.metrics import MetricSpec, score_run
@@ -220,10 +220,9 @@ class TestC5ReSTrain:
     def test_c5_restrain_invariants(self, rng):
         train_emb = random_embeddings(rng, "t", 1000, 8)
         test_emb = random_embeddings(rng, "q", 50, 8)
-        train, test = make_queries(train_emb.ids), make_queries(test_emb.ids)
 
         splits = [
-            restrain_interpolation(train, test, train_emb, test_emb, ReSTrainConfig(target_size=size))
+            restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=size))
             for size in (50, 100, 200)
         ]
         assert [len(s.training_ids) for s in splits] == [50, 100, 200]
@@ -231,7 +230,7 @@ class TestC5ReSTrain:
         assert splits[2].training_ids[:100] == splits[1].training_ids
 
         cfg = ReSTrainConfig(target_size=200, exclude_depth=8, seed=31)
-        extra = restrain_extrapolation(train, test, train_emb, test_emb, cfg)
+        extra = restrain_extrapolation(train_emb, test_emb, cfg)
         assert len(extra.training_ids) == 200
         recomputed = {
             nid
@@ -249,10 +248,7 @@ class TestC6ReSTTest:
     def test_c6_fold_coverage(self, rng, k):
         train_emb = random_embeddings(rng, "t", 60, 5)
         test_emb = random_embeddings(rng, "q", 18, 5)
-        folds = resttest_split(
-            make_queries(train_emb.ids), make_queries(test_emb.ids), train_emb, test_emb,
-            KMeansConfig(k=k, seed=7),
-        )
+        folds = resttest_split(train_emb, test_emb, KMeansConfig(k=k, seed=7))
         extra_counts = {qid: 0 for qid in test_emb.ids}
         inter_counts = {qid: 0 for qid in test_emb.ids}
         for fold in range(k):

@@ -6,13 +6,14 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, make_embeddings
 from xtrap import cli, resample
-from xtrap.dataio import write_embeddings, write_run, RunSet
+from xtrap.dataio import read_embeddings, write_embeddings, write_run, RunSet
 from xtrap.resample import read_manifest
 
 
@@ -289,6 +290,72 @@ class TestResttestAndAggregate:
         err = capsys.readouterr().err
         assert "data error: k-means inertia increased at iteration 1" in err
         assert "Traceback" not in err
+
+    def test_nan_tol_is_usage_error(self, tmp_path, rng, capsys):
+        files = restrain_inputs(tmp_path, rng)
+        out = tmp_path / "folds.txt"
+        assert run_resample(RESAMPLE_RUNS["resttest"] + ["--tol", "nan"], files, out) == 1
+        assert "xtrap: error: tol must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+RESAMPLE_RUNS = {
+    "restrain-inter": ["restrain", "--regime", "inter", "--size", "5"],
+    "restrain-extra": ["restrain", "--regime", "extra", "-E", "1", "--size", "5"],
+    "resttest": ["resttest", "-k", "3", "--seed", "5"],
+    "candidates": ["candidates", "--per-channel", "3"],
+}
+RESAMPLING = ["restrain-inter", "restrain-extra", "resttest"]
+
+
+def run_resample(command, files, out):
+    return cli.main([*command, "--train-queries", files["train_q"], "--test-queries", files["test_q"],
+                     "--train-emb", files["train_e"], "--test-emb", files["test_e"], "-o", str(out)])
+
+
+@pytest.mark.parametrize("name", RESAMPLING)
+def test_resampling_rejects_shared_id(tmp_path, rng, capsys, name):
+    # t00 is both a training and a test query. As a training query it is the
+    # farthest from both test vectors, and the default seed's size-5 sample
+    # leaves it out, so no split would contain it: the inputs must be rejected
+    files = restrain_inputs(tmp_path, rng, n_train=30, dim=2)
+    train_matrix = np.vstack([[-10.0, 0.0], [1.0, 0.0] + 0.1 * rng.normal(size=(29, 2))])
+    files["train_e"] = emb_file(tmp_path, "train.evec", [f"t{i:02d}" for i in range(30)], train_matrix)
+    files["test_q"] = write(tmp_path / "test_q.tsv", "t00\ttext t00\nq1\ttext q1\n")
+    files["test_e"] = emb_file(tmp_path, "test.evec", ["t00", "q1"], [[1.0, 0.1], [1.0, -0.1]])
+    assert run_resample(RESAMPLE_RUNS[name], files, tmp_path / "out") == 2
+    assert "xtrap: data error: train and test query ids overlap: ['t00']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", RESAMPLING)
+def test_resampling_rejects_empty_test_set(tmp_path, rng, capsys, name):
+    files = restrain_inputs(tmp_path, rng)
+    files["test_q"] = write(tmp_path / "empty.tsv", "")
+    assert run_resample(RESAMPLE_RUNS[name], files, tmp_path / "out") == 2
+    assert "xtrap: data error: test set is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", RESAMPLE_RUNS)
+def test_embedding_files_are_aligned_with_query_files(tmp_path, rng, capsys, name):
+    files = restrain_inputs(tmp_path, rng)
+    aligned = tmp_path / "aligned.out"
+    assert run_resample(RESAMPLE_RUNS[name], files, aligned) == 0
+    # rows out of query order, plus an id that no query names
+    for key in ("train_e", "test_e"):
+        emb = read_embeddings(files[key])
+        order = rng.permutation(len(emb))
+        ids = [emb.ids[i] for i in order] + [f"x-{key}"]
+        files[key] = emb_file(tmp_path, f"shuffled-{key}.evec", ids, np.vstack([emb.matrix[order], np.ones(4)]))
+    shuffled = tmp_path / "shuffled.out"
+    assert run_resample(RESAMPLE_RUNS[name], files, shuffled) == 0
+    assert shuffled.read_bytes() == aligned.read_bytes()
+
+    emb = read_embeddings(files["test_e"])
+    kept = [i for i in emb.ids if i != "q2"]
+    files["test_e"] = emb_file(tmp_path, "missing.evec", kept, np.vstack([emb.vector(i) for i in kept]))
+    capsys.readouterr()
+    assert run_resample(RESAMPLE_RUNS[name], files, tmp_path / "missing.out") == 2
+    assert "xtrap: data error: no embedding for id q2" in capsys.readouterr().err
 
 
 class TestOverlapCli:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from conftest import make_embeddings, make_queries, random_embeddings
+from conftest import make_embeddings, random_embeddings
 from xtrap.dataio import DataError, QrelSet, RunSet
 from xtrap.metrics import MetricSpec, score_run
 from xtrap.resample import (
@@ -192,49 +192,30 @@ class TestRestrainInterpolation:
     def test_saturation_is_permutation(self, rng):
         train_emb = random_embeddings(rng, "t", 30, 4)
         test_emb = random_embeddings(rng, "q", 5, 4)
-        train = make_queries(train_emb.ids)
-        test = make_queries(test_emb.ids)
-        split = restrain_interpolation(
-            train, test, train_emb, test_emb, ReSTrainConfig(target_size=30)
-        )
-        assert sorted(split.training_ids) == sorted(train.ids)
-        assert split.test_ids == test.ids
+        split = restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=30))
+        assert sorted(split.training_ids) == sorted(train_emb.ids)
+        assert split.test_ids == test_emb.ids
         assert split.regime == "interpolation"
 
     def test_single_test_query_top3(self, rng):
         train_emb = random_embeddings(rng, "t", 20, 4)
         test_emb = random_embeddings(rng, "q", 1, 4)
-        split = restrain_interpolation(
-            make_queries(train_emb.ids),
-            make_queries(test_emb.ids),
-            train_emb,
-            test_emb,
-            ReSTrainConfig(target_size=3),
-        )
+        split = restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=3))
         want = neighbor_id_lists(test_emb, train_emb, 3)[0]
         assert list(split.training_ids) == want
 
     def test_matches_round_robin_oracle(self, rng):
         train_emb = random_embeddings(rng, "t", 50, 6)
         test_emb = random_embeddings(rng, "q", 5, 6)
-        split = restrain_interpolation(
-            make_queries(train_emb.ids),
-            make_queries(test_emb.ids),
-            train_emb,
-            test_emb,
-            ReSTrainConfig(target_size=20),
-        )
+        split = restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=20))
         want = oracles.round_robin_union(neighbor_id_lists(test_emb, train_emb, 50), 20)
         assert list(split.training_ids) == want
 
     def test_prefix_monotone_across_targets(self, rng):
         train_emb = random_embeddings(rng, "t", 200, 8)
         test_emb = random_embeddings(rng, "q", 10, 8)
-        train, test = make_queries(train_emb.ids), make_queries(test_emb.ids)
         splits = [
-            restrain_interpolation(
-                train, test, train_emb, test_emb, ReSTrainConfig(target_size=size)
-            )
+            restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=size))
             for size in (20, 50, 120)
         ]
         assert [len(s.training_ids) for s in splits] == [20, 50, 120]
@@ -246,7 +227,6 @@ class TestRestrainInterpolation:
         # prefix of top-D' for D < D', so the round-robin union is the same
         train_emb = random_embeddings(rng, "t", 300, 8)
         test_emb = random_embeddings(rng, "q", 12, 8)
-        train, test = make_queries(train_emb.ids), make_queries(test_emb.ids)
         depths = []
 
         def recording_knn(test, train, k, measure):
@@ -263,7 +243,7 @@ class TestRestrainInterpolation:
                 monkeypatch.setattr("xtrap.resample._SCAN_SHARES", shares)
                 depths.clear()
                 cfg = ReSTrainConfig(target_size=size)
-                splits.add(restrain_interpolation(train, test, train_emb, test_emb, cfg).training_ids)
+                splits.add(restrain_interpolation(train_emb, test_emb, cfg).training_ids)
                 first_depths.append(depths[0])
             assert len(set(first_depths)) == 4
             assert len(splits) == 1
@@ -278,13 +258,7 @@ class TestRestrainInterpolation:
             return knn(test, train, k, measure=measure)
 
         monkeypatch.setattr("xtrap.resample.knn", counting_knn)
-        split = restrain_interpolation(
-            make_queries(train_emb.ids),
-            make_queries(test_emb.ids),
-            train_emb,
-            test_emb,
-            ReSTrainConfig(target_size=size),
-        )
+        split = restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=size))
         return list(split.training_ids), depths
 
     def test_one_scan_when_four_shares_reach_size(self, rng, monkeypatch):
@@ -339,13 +313,7 @@ class TestRestrainInterpolation:
         train_emb = random_embeddings(rng, "t", 5, 2)
         test_emb = random_embeddings(rng, "q", 2, 2)
         with pytest.raises(DataError):
-            restrain_interpolation(
-                make_queries(train_emb.ids),
-                make_queries(test_emb.ids),
-                train_emb,
-                test_emb,
-                ReSTrainConfig(target_size=6),
-            )
+            restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=6))
 
 
 class TestRestrainExtrapolation:
@@ -354,18 +322,14 @@ class TestRestrainExtrapolation:
         test_emb = random_embeddings(rng, "q", 2, 3)
         cfg = ReSTrainConfig(target_size=1, exclude_depth=10)
         with pytest.raises(DataError) as exc:
-            restrain_extrapolation(
-                make_queries(train_emb.ids), make_queries(test_emb.ids), train_emb, test_emb, cfg
-            )
+            restrain_extrapolation(train_emb, test_emb, cfg)
         assert "max feasible" in str(exc.value)
 
     def test_leave_one_out(self, rng):
         train_emb = random_embeddings(rng, "t", 12, 4)
         test_emb = random_embeddings(rng, "q", 1, 4)
         cfg = ReSTrainConfig(target_size=11, exclude_depth=1)
-        split = restrain_extrapolation(
-            make_queries(train_emb.ids), make_queries(test_emb.ids), train_emb, test_emb, cfg
-        )
+        split = restrain_extrapolation(train_emb, test_emb, cfg)
         nearest = neighbor_id_lists(test_emb, train_emb, 1)[0][0]
         assert sorted(split.training_ids) == sorted(set(train_emb.ids) - {nearest})
         assert split.regime == "extrapolation"
@@ -374,9 +338,7 @@ class TestRestrainExtrapolation:
         train_emb = random_embeddings(rng, "t", 200, 6)
         test_emb = random_embeddings(rng, "q", 10, 6)
         cfg = ReSTrainConfig(target_size=50, exclude_depth=5, seed=17)
-        split = restrain_extrapolation(
-            make_queries(train_emb.ids), make_queries(test_emb.ids), train_emb, test_emb, cfg
-        )
+        split = restrain_extrapolation(train_emb, test_emb, cfg)
         assert len(split.training_ids) == 50
         excluded = {nid for lst in neighbor_id_lists(test_emb, train_emb, 5) for nid in lst}
         assert not excluded & set(split.training_ids)
@@ -385,7 +347,7 @@ class TestRestrainExtrapolation:
         train_emb = random_embeddings(rng, "t", 50, 4)
         test_emb = random_embeddings(rng, "q", 4, 4)
         cfg = ReSTrainConfig(target_size=20, exclude_depth=2, seed=5)
-        args = (make_queries(train_emb.ids), make_queries(test_emb.ids), train_emb, test_emb, cfg)
+        args = (train_emb, test_emb, cfg)
         assert restrain_extrapolation(*args).training_ids == restrain_extrapolation(*args).training_ids
 
 
@@ -399,14 +361,10 @@ def fixed_knn(index):
 
 
 def stub_inputs(n_train, n_test):
-    """Query and embedding sets for a faked `knn`: only the ids matter."""
-    train_ids = [f"t{i}" for i in range(n_train)]
-    test_ids = [f"q{i}" for i in range(n_test)]
+    """Embedding sets for a faked `knn`: only the ids matter."""
     return (
-        make_queries(train_ids),
-        make_queries(test_ids),
-        make_embeddings(train_ids, np.zeros((n_train, 1))),
-        make_embeddings(test_ids, np.zeros((n_test, 1))),
+        make_embeddings([f"t{i}" for i in range(n_train)], np.zeros((n_train, 1))),
+        make_embeddings([f"q{i}" for i in range(n_test)], np.zeros((n_test, 1))),
     )
 
 
@@ -427,10 +385,10 @@ def test_interpolation_union_matches_round_robin_oracle(n_train, picks, seed, si
     perms = [rng.permutation(n_train) for _ in range(3)]
     index = np.asarray([perms[p] for p in picks], dtype=np.intp)
     size = max(1, round(size_share * n_train))
-    train, test, train_emb, test_emb = stub_inputs(n_train, len(picks))
+    train_emb, test_emb = stub_inputs(n_train, len(picks))
     with mock.patch("xtrap.resample.knn", fixed_knn(index)):
-        split = restrain_interpolation(train, test, train_emb, test_emb, ReSTrainConfig(target_size=size))
-    want = oracles.round_robin_union([[train.ids[j] for j in row] for row in index.tolist()], size)
+        split = restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=size))
+    want = oracles.round_robin_union([[train_emb.ids[j] for j in row] for row in index.tolist()], size)
     assert list(split.training_ids) == want
 
 
@@ -440,17 +398,17 @@ def test_extrapolation_remaining_ids_in_train_order(n_train, n_test, seed, data)
     rng = np.random.default_rng(seed)
     index = np.asarray([rng.permutation(n_train) for _ in range(n_test)], dtype=np.intp)
     depth = data.draw(st.integers(1, n_train))
-    train, test, train_emb, test_emb = stub_inputs(n_train, n_test)
-    excluded = {train.ids[j] for j in index[:, :depth].ravel().tolist()}
-    remaining = [t for t in train.ids if t not in excluded]
+    train_emb, test_emb = stub_inputs(n_train, n_test)
+    excluded = {train_emb.ids[j] for j in index[:, :depth].ravel().tolist()}
+    remaining = [t for t in train_emb.ids if t not in excluded]
     size = data.draw(st.integers(1, max(1, len(remaining))))
     cfg = ReSTrainConfig(target_size=size, exclude_depth=depth, seed=seed)
     with mock.patch("xtrap.resample.knn", fixed_knn(index)):
         if not remaining:
             with pytest.raises(DataError, match="leaves 0 training queries"):
-                restrain_extrapolation(train, test, train_emb, test_emb, cfg)
+                restrain_extrapolation(train_emb, test_emb, cfg)
             return
-        split = restrain_extrapolation(train, test, train_emb, test_emb, cfg)
+        split = restrain_extrapolation(train_emb, test_emb, cfg)
     # the sample is drawn from the remaining ids in train order
     picked = np.random.Generator(np.random.PCG64(seed)).choice(len(remaining), size=size, replace=False)
     assert split.training_ids == tuple(remaining[i] for i in picked.tolist())
@@ -475,25 +433,13 @@ class TestResttestSplit:
         train_emb = random_embeddings(rng, "t", 5, 2)
         test_emb = random_embeddings(rng, "q", 2, 2)
         with pytest.raises(DataError) as exc:
-            resttest_split(
-                make_queries(train_emb.ids),
-                make_queries(test_emb.ids),
-                train_emb,
-                test_emb,
-                KMeansConfig(k=1),
-            )
+            resttest_split(train_emb, test_emb, KMeansConfig(k=1))
         assert "k must be >= 2" in str(exc.value)
 
     def test_two_blobs_fold_semantics(self, rng):
         train_emb, train_blob = blob_points(rng, [(-8.0, -8.0), (8.0, 8.0)], 5, 2, prefix="t")
         test_emb, test_blob = blob_points(rng, [(-8.0, -8.0), (8.0, 8.0)], 2, 2, prefix="q")
-        folds = resttest_split(
-            make_queries(train_emb.ids),
-            make_queries(test_emb.ids),
-            train_emb,
-            test_emb,
-            KMeansConfig(k=2, seed=4),
-        )
+        folds = resttest_split(train_emb, test_emb, KMeansConfig(k=2, seed=4))
         bucket_of = folds.bucket_of
         blob_bucket = {b: bucket_of[f"t{b}-000"] for b in (0, 1)}
         assert blob_bucket[0] != blob_bucket[1]
@@ -508,13 +454,7 @@ class TestResttestSplit:
     def test_fold_coverage_invariants(self, rng, k):
         train_emb = random_embeddings(rng, "t", 40, 4)
         test_emb = random_embeddings(rng, "q", 15, 4)
-        folds = resttest_split(
-            make_queries(train_emb.ids),
-            make_queries(test_emb.ids),
-            train_emb,
-            test_emb,
-            KMeansConfig(k=k, seed=21),
-        )
+        folds = resttest_split(train_emb, test_emb, KMeansConfig(k=k, seed=21))
         extra_seen = {qid: 0 for qid in test_emb.ids}
         inter_seen = {qid: 0 for qid in test_emb.ids}
         for fold in range(k):
@@ -531,20 +471,13 @@ class TestResttestSplit:
         train_emb, _ = blob_points(rng, [(-9.0,), (0.0,), (9.0,)], 4, 1, spread=0.2, prefix="t")
         test_emb, _ = blob_points(rng, [(-9.0,), (0.0,)], 2, 1, spread=0.2, prefix="q")
         with caplog.at_level("WARNING"):
-            resttest_split(
-                make_queries(train_emb.ids),
-                make_queries(test_emb.ids),
-                train_emb,
-                test_emb,
-                KMeansConfig(k=3, seed=2),
-            )
+            resttest_split(train_emb, test_emb, KMeansConfig(k=3, seed=2))
         assert any("no test queries" in r.message for r in caplog.records)
 
     def test_id_overlap_rejected(self, rng):
         emb = random_embeddings(rng, "x", 6, 2)
-        qs = make_queries(emb.ids)
         with pytest.raises(DataError):
-            resttest_split(qs, qs, emb, emb, KMeansConfig(k=2))
+            resttest_split(emb, emb, KMeansConfig(k=2))
 
 
 def recall_run(query_hits: dict[str, int], total=5):
@@ -672,13 +605,7 @@ class TestManifest:
     def test_splitspec_roundtrip(self, tmp_path, rng):
         train_emb = random_embeddings(rng, "t", 30, 4)
         test_emb = random_embeddings(rng, "q", 5, 4)
-        split = restrain_interpolation(
-            make_queries(train_emb.ids),
-            make_queries(test_emb.ids),
-            train_emb,
-            test_emb,
-            ReSTrainConfig(target_size=10, seed=9),
-        )
+        split = restrain_interpolation(train_emb, test_emb, ReSTrainConfig(target_size=10, seed=9))
         p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
         write_manifest(split, p1)
         back = read_manifest(p1)
@@ -693,13 +620,7 @@ class TestManifest:
     def test_foldspec_roundtrip(self, tmp_path, rng):
         train_emb = random_embeddings(rng, "t", 20, 3)
         test_emb = random_embeddings(rng, "q", 8, 3)
-        folds = resttest_split(
-            make_queries(train_emb.ids),
-            make_queries(test_emb.ids),
-            train_emb,
-            test_emb,
-            KMeansConfig(k=3, seed=13),
-        )
+        folds = resttest_split(train_emb, test_emb, KMeansConfig(k=3, seed=13))
         p1, p2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
         write_manifest(folds, p1)
         back = read_manifest(p1)
