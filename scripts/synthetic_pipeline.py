@@ -33,7 +33,7 @@ from xtrap.dataio import (
     write_queries,
     write_run,
 )
-from xtrap.dataio import Query, QuerySet
+from xtrap.dataio import QuerySet
 from xtrap.resample import read_manifest
 
 CLUSTERS = 8
@@ -116,12 +116,15 @@ def main() -> int:
         "train.queries", "test-restrain.queries", "test-resttest.queries",
         "train.evec", "test.evec", "qrels.txt",
     )}
-    write_queries(QuerySet([Query(i, f"synthetic query {i}") for i in train_emb.ids]), paths["train.queries"])
+    def write_synthetic_queries(ids, path):
+        write_queries(QuerySet(ids, [f"synthetic query {i}" for i in ids]), path)
+
+    write_synthetic_queries(train_emb.ids, paths["train.queries"])
     # ReSTrain test queries: clusters 0-3 only, so clusters 4-7 stay available
     # for a feasible extrapolation training set
     restrain_test = [qid for qid in test_emb.ids if cluster_of[qid] < 4]
-    write_queries(QuerySet([Query(i, f"synthetic query {i}") for i in restrain_test]), paths["test-restrain.queries"])
-    write_queries(QuerySet([Query(i, f"synthetic query {i}") for i in test_emb.ids]), paths["test-resttest.queries"])
+    write_synthetic_queries(restrain_test, paths["test-restrain.queries"])
+    write_synthetic_queries(test_emb.ids, paths["test-resttest.queries"])
     write_embeddings(train_emb, paths["train.evec"])
     write_embeddings(test_emb, paths["test.evec"])
     write_qrels(qrels, paths["qrels.txt"])

@@ -12,7 +12,6 @@ from .dataio import (
     EmbeddingSet,
     ParseError,
     QrelSet,
-    Query,
     QuerySet,
     RunSet,
     parse_qrels,

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _iter_lines, _row_chunks, atomic_output
+from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _iter_lines, atomic_output
+
+# values per row chunk of PCA's float64 passes; the covariance is summed
+# chunk by chunk, so the chunk size is part of its rounding
+_CHUNK_ELEMENTS = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -262,12 +266,11 @@ def median_label(labels: Sequence) -> object:
     return sorted(labels)[len(labels) // 2]
 
 
-def _column_mean(points: EmbeddingSet) -> np.ndarray:
-    """Per-coordinate mean accumulated in float64, chunked."""
-    total = np.zeros(points.dim, dtype=np.float64)
-    for _, block in _row_chunks(points.matrix):
-        total += block.sum(axis=0)
-    return total / len(points)
+def _row_chunks(matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """Float64 copies of `matrix`'s rows, in bounded chunks in row order."""
+    step = max(1, _CHUNK_ELEMENTS // matrix.shape[1])
+    for lo in range(0, matrix.shape[0], step):
+        yield matrix[lo : lo + step].astype(np.float64)
 
 
 def _pca(points: EmbeddingSet, out_dims: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
@@ -278,10 +281,13 @@ def _pca(points: EmbeddingSet, out_dims: int) -> tuple[np.ndarray, np.ndarray, t
         raise DataError("PCA needs at least 2 points")
     if out_dims < 1 or out_dims > dim:
         raise DataError(f"out_dims must be in [1, {dim}], got {out_dims}")
-    # sample covariance (divisor n-1) accumulated in float64, chunked
-    mean = _column_mean(points)
+    # column mean, then sample covariance (divisor n-1), in float64, chunked
+    total = np.zeros(dim, dtype=np.float64)
+    for block in _row_chunks(points.matrix):
+        total += block.sum(axis=0)
+    mean = total / n
     cov = np.zeros((dim, dim), dtype=np.float64)
-    for _, block in _row_chunks(points.matrix):
+    for block in _row_chunks(points.matrix):
         block -= mean
         cov += block.T @ block
     values, vectors = np.linalg.eigh(cov / (n - 1))
@@ -302,23 +308,22 @@ def pca_components(points: EmbeddingSet, out_dims: int = 2) -> tuple[np.ndarray,
     return components, values
 
 
-def pca_project(points: EmbeddingSet, out_dims: int = 2) -> dict[str, np.ndarray]:
-    """Project every embedding onto the top principal axes; id -> coordinates."""
+def pca_project(points: EmbeddingSet, out_dims: int = 2) -> np.ndarray:
+    """Project every embedding onto the top principal axes: a float64
+    `(len(points), out_dims)` array, row i for `points.ids[i]`."""
     mean, components, _ = _pca(points, out_dims)
-    out: dict[str, np.ndarray] = {}
-    for lo, block in _row_chunks(points.matrix):
+    rows = []
+    for block in _row_chunks(points.matrix):
         block -= mean
-        for i, row in enumerate(block @ components.T):
-            out[points.ids[lo + i]] = row
-    return out
+        rows.append(block @ components.T)
+    return np.vstack(rows)
 
 
-def write_pca_projection(
-    projection: dict[str, np.ndarray], groups: dict[str, str] | None, path
-) -> None:
-    """TSV `id<TAB>x<TAB>y<TAB>group`; ids without a group get 'none'."""
+def write_pca_projection(ids: Sequence[str], coords: np.ndarray, groups: dict[str, str] | None, path) -> None:
+    """TSV `id<TAB>x<TAB>y<TAB>group` from `pca_project`'s rows, 6 significant
+    digits; ids without a group get 'none'."""
     groups = groups or {}
     with atomic_output(path) as f:
-        for eid, coords in projection.items():
-            values = "\t".join(f"{v:.6g}" for v in coords)
+        for eid, row in zip(ids, coords.tolist()):
+            values = "\t".join(f"{v:.6g}" for v in row)
             f.write(f"{eid}\t{values}\t{groups.get(eid, 'none')}\n")

@@ -216,7 +216,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_pca(args) -> int:
     emb = dataio.read_embeddings(args.emb)
-    projection = analysis.pca_project(emb, out_dims=2)
+    coords = analysis.pca_project(emb, out_dims=2)
     groups: dict[str, str] | None = None
     if args.manifest:
         spec = resample.read_manifest(args.manifest)
@@ -226,8 +226,8 @@ def cmd_pca(args) -> int:
             groups.update({i: "test" for i in spec.test_ids})
         else:
             groups = {i: f"bucket-{b}" for i, b in spec.bucket_of.items()}
-    analysis.write_pca_projection(projection, groups, args.output)
-    print(f"projected {len(projection)} embeddings to 2 dims -> {args.output}")
+    analysis.write_pca_projection(emb.ids, coords, groups, args.output)
+    print(f"projected {len(coords)} embeddings to 2 dims -> {args.output}")
     return EXIT_OK
 
 

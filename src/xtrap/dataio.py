@@ -45,7 +45,6 @@ import os
 import re
 import stat
 import struct
-from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -64,17 +63,6 @@ _WS = re.compile(r"\s")
 
 def _bad_id(value: str) -> bool:
     return not value or _WS.search(value) is not None
-
-
-# values per row chunk when a matrix is streamed through float64 temporaries
-_CHUNK_ELEMENTS = 16 * 1024 * 1024
-
-
-def _row_chunks(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first row, float64 copy of the rows) over bounded row chunks."""
-    step = max(1, _CHUNK_ELEMENTS // max(1, matrix.shape[1]))
-    for lo in range(0, matrix.shape[0], step):
-        yield lo, matrix[lo : lo + step].astype(np.float64)
 
 
 @contextlib.contextmanager
@@ -208,20 +196,14 @@ def _iter_lines(path, f: IO[bytes] | None = None, head: bytes = b"") -> Iterator
                 yield lineno, line.removesuffix("\r")
 
 
-@dataclass(frozen=True)
-class Query:
-    """One query: a whitespace-free id plus its raw text."""
-
-    id: str
-    text: str
-
-
 class QuerySet:
-    """Ordered collection of queries with unique ids; order equals file order."""
+    """Queries with unique ids, in file order: an id tuple and the texts aligned with it."""
 
-    def __init__(self, queries: Iterable[Query]):
-        self._queries = tuple(queries)
-        self._ids = tuple(q.id for q in self._queries)
+    def __init__(self, ids: Sequence[str], texts: Sequence[str]):
+        if len(ids) != len(texts):
+            raise DataError(f"{len(ids)} ids but {len(texts)} texts")
+        self._ids = tuple(ids)
+        self._texts = tuple(texts)
         self._index = _index_ids(self._ids, "query")
 
     @property
@@ -229,19 +211,20 @@ class QuerySet:
         return self._ids
 
     def text(self, query_id: str) -> str:
-        return self._queries[self._index[query_id]].text
+        return self._texts[self._index[query_id]]
 
     def __contains__(self, query_id: str) -> bool:
         return query_id in self._index
 
-    def __iter__(self) -> Iterator[Query]:
-        return iter(self._queries)
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        """(id, text) pairs in order."""
+        return zip(self._ids, self._texts)
 
     def __len__(self) -> int:
-        return len(self._queries)
+        return len(self._ids)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QuerySet) and self._queries == other._queries
+        return isinstance(other, QuerySet) and self._ids == other._ids and self._texts == other._texts
 
 
 class QrelSet:
@@ -432,21 +415,24 @@ class EmbeddingSet:
 
 def parse_queries(path) -> QuerySet:
     """Read ``id<TAB>text`` records, preserving file order."""
-    queries: list[Query] = []
+    ids: list[str] = []
+    texts: list[str] = []
     lines: list[int] = []
     for lineno, line in _iter_lines(path):
         if "\t" not in line:
             raise ParseError(path, "expected 'id<TAB>text'", lineno)
-        queries.append(Query(*line.split("\t", 1)))
+        qid, text = line.split("\t", 1)
+        ids.append(qid)
+        texts.append(text)
         lines.append(lineno)
     with _located(path, lines.__getitem__):
-        return QuerySet(queries)
+        return QuerySet(ids, texts)
 
 
 def write_queries(queries: QuerySet, path) -> None:
     with atomic_output(path) as f:
-        for q in queries:
-            f.write(f"{q.id}\t{q.text}\n")
+        for qid, text in queries:
+            f.write(f"{qid}\t{text}\n")
 
 
 def parse_qrels(path) -> QrelSet:

@@ -39,7 +39,7 @@ import numpy as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
 from .dataio import _iter_lines, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run
-from .simindex import MEASURES, _rounding_bounds, knn
+from .simindex import MEASURES, _check_query_sets, _rounding_bounds, knn
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +110,10 @@ class ReSTrainConfig:
 
 @dataclass(frozen=True)
 class KMeansResult:
+    """`assignment` is the `intp` bucket of each row of the clustered points."""
+
     centroids: np.ndarray
-    assignment: dict[str, int]
+    assignment: np.ndarray
     inertia: float
     history: tuple[float, ...]
     iterations: int
@@ -363,24 +365,13 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
         "kmeans: %d iterations, inertia %r; assignment screen decided %d rows, %d rescored in float64",
         iterations, history[-1], n * len(history) - rescored, rescored,
     )
-    mapping = {points.ids[i]: int(assignment[i]) for i in range(n)}
     return KMeansResult(
         centroids=centroids,
-        assignment=mapping,
+        assignment=assignment,
         inertia=history[-1],
         history=tuple(history),
         iterations=iterations,
     )
-
-
-def _check_query_sets(train_emb: EmbeddingSet, test_emb: EmbeddingSet) -> None:
-    """The input rule of every resampling: a test set that is not empty and
-    shares no id with the training set."""
-    if len(test_emb) == 0:
-        raise DataError("test set is empty")
-    overlap = set(test_emb.ids).intersection(train_emb.ids)
-    if overlap:
-        raise DataError(f"train and test query ids overlap: {sorted(overlap)[:5]}")
 
 
 def restrain_interpolation(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: ReSTrainConfig) -> SplitSpec:
@@ -459,17 +450,15 @@ def resttest_split(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: KMeansC
     if train_emb.dim != test_emb.dim:
         raise DataError(f"dimension mismatch: train dim {train_emb.dim}, test dim {test_emb.dim}")
     combined = EmbeddingSet(train_emb.ids + test_emb.ids, np.vstack([train_emb.matrix, test_emb.matrix]))
-    result = kmeans(combined, cfg)
-    buckets: list[list[str]] = [[] for _ in range(cfg.k)]
-    for eid in combined.ids:
-        buckets[result.assignment[eid]].append(eid)
-    train_set = set(train_emb.ids)
-    for b, bucket in enumerate(buckets):
-        if not any(i not in train_set for i in bucket):
-            logger.warning("bucket %d contains no test queries; fold %d contributes no extrapolation scores", b, b)
+    assignment = kmeans(combined, cfg).assignment
+    # a stable sort keeps training ids first and each group in row order
+    ends = np.cumsum(np.bincount(assignment, minlength=cfg.k))[:-1]
+    rows = np.split(np.argsort(assignment, kind="stable"), ends)
+    for b in np.flatnonzero(np.bincount(assignment[len(train_emb) :], minlength=cfg.k) == 0).tolist():
+        logger.warning("bucket %d contains no test queries; fold %d contributes no extrapolation scores", b, b)
     return FoldSpec(
         k=cfg.k,
-        buckets=tuple(tuple(b) for b in buckets),
+        buckets=tuple(tuple(combined.ids[j] for j in bucket.tolist()) for bucket in rows),
         train_ids=train_emb.ids,
         provenance={
             "seed": str(cfg.seed),

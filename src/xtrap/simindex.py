@@ -65,13 +65,14 @@ def _check_measure(measure: str) -> None:
         raise ValueError(f"unknown similarity measure {measure!r}")
 
 
-def _normalized_rows(matrix: np.ndarray, ids, what: str) -> np.ndarray:
-    # the norm is the same per-vector dot product that scores a pair
-    norms = np.sqrt(np.vecdot(matrix, matrix))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DataError(f"cosine requires nonzero vectors; {what} id {ids[zero[0]]} is zero")
-    return matrix / norms[:, None]
+def _check_query_sets(train_emb: EmbeddingSet, test_emb: EmbeddingSet) -> None:
+    """The input rule of resampling and candidate pools: a test set that is
+    not empty and shares no id with the training set."""
+    if len(test_emb) == 0:
+        raise DataError("test set is empty")
+    overlap = set(test_emb.ids).intersection(train_emb.ids)
+    if overlap:
+        raise DataError(f"train and test query ids overlap: {sorted(overlap)[:5]}")
 
 
 def _float32_floor(values: np.ndarray) -> np.ndarray:
@@ -155,18 +156,19 @@ def knn(
     cosine = measure == "cosine"
 
     queries = test.matrix.astype(np.float64)
+    # a query's norm is the same per-vector dot product that scores a pair
+    query_norms = np.sqrt(np.vecdot(queries, queries))
     train_norms = np.sqrt(np.einsum("ij,ij->i", train.matrix, train.matrix, dtype=np.float64))
     if cosine:
-        queries = _normalized_rows(queries, test.ids, "test")
-        zero = np.flatnonzero(train_norms == 0.0)
-        if zero.size:
-            raise DataError(f"cosine requires nonzero vectors; train id {train.ids[zero[0]]} is zero")
+        for what, ids, norms in (("test", test.ids, query_norms), ("train", train.ids, train_norms)):
+            zero = np.flatnonzero(norms == 0.0)
+            if zero.size:
+                raise DataError(f"cosine requires nonzero vectors; {what} id {ids[zero[0]]} is zero")
+        queries /= query_norms[:, None]
         query_norms = np.ones(n_test)
         inv_norms = 1.0 / train_norms
         # a clamped factor only occurs in a block whose bound is infinite
         inv_norms32 = np.minimum(inv_norms, 2.0**100).astype(np.float32)
-    else:
-        query_norms = np.sqrt(np.vecdot(queries, queries))
     # an exact power-of-two scale keeps float32 scores far from overflow
     peak = float(query_norms.max(initial=0.0) * train_norms.max())
     scale = 2.0 ** -max(0, math.ceil(math.log2(peak)) - 100) if peak > 0.0 else 1.0
@@ -341,7 +343,7 @@ def bm25_grid_search(
         raise ValueError("parameter grid must not be empty")
 
     def mean(params: Bm25Params) -> float:
-        rankings = {q.id: bm25_search(index, q.text, spec.cutoff, params) for q in train_queries}
+        rankings = {qid: bm25_search(index, text, spec.cutoff, params) for qid, text in train_queries}
         return score_run(RunSet(rankings), qrels, spec).mean
 
     return max(grid, key=lambda p: (mean(p), -p.k1, -p.b))
@@ -362,17 +364,18 @@ def recall_candidates(
         raise ValueError("per_channel must be >= 1")
     te = test_emb.subset(test.ids)
     tr = train_emb.subset(train.ids)
+    _check_query_sets(tr, te)
     dense, _ = knn(te, tr, per_channel, measure=measure)
     index = Bm25Index(train)
     pools: dict[str, list[str]] = {}
-    for query, row in zip(test, dense.tolist()):
+    for (qid, text), row in zip(test, dense.tolist()):
         pool = [tr.ids[j] for j in row]
         seen = set(pool)
-        for nid, _ in bm25_search(index, query.text, per_channel, params):
+        for nid, _ in bm25_search(index, text, per_channel, params):
             if nid not in seen:
                 seen.add(nid)
                 pool.append(nid)
-        pools[query.id] = pool
+        pools[qid] = pool
     return pools
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xtrap.dataio import EmbeddingSet, Query, QuerySet
+from xtrap.dataio import EmbeddingSet, QuerySet
 from xtrap.simindex import knn
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -23,7 +23,7 @@ def random_embeddings(rng, prefix: str, count: int, dim: int, scale: float = 1.0
 def make_queries(ids, texts=None) -> QuerySet:
     if texts is None:
         texts = [f"text of {qid}" for qid in ids]
-    return QuerySet([Query(qid, text) for qid, text in zip(ids, texts)])
+    return QuerySet(ids, texts)
 
 
 @pytest.fixture

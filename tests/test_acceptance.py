@@ -200,7 +200,7 @@ class TestC4KMeans:
         blobs = make_embeddings(ids, np.asarray(rows))
         result = kmeans(blobs, KMeansConfig(k=2, seed=17))
         histories.append(result.history)
-        buckets_by_blob = {b: {result.assignment[i] for i in ids if blob_of[i] == b} for b in (0, 1)}
+        buckets_by_blob = {b: {a for i, a in zip(ids, result.assignment.tolist()) if blob_of[i] == b} for b in (0, 1)}
         assert all(len(v) == 1 for v in buckets_by_blob.values())
         assert buckets_by_blob[0] != buckets_by_blob[1]
         best = oracles.kmeans_best_inertia(blobs.matrix, k=2, restarts=100)
@@ -208,7 +208,7 @@ class TestC4KMeans:
         # determinism
         cfg = KMeansConfig(k=3, seed=1234)
         again = random_embeddings(rng, "d", 50, 4)
-        assert kmeans(again, cfg).assignment == kmeans(again, cfg).assignment
+        assert np.array_equal(kmeans(again, cfg).assignment, kmeans(again, cfg).assignment)
         # inertia monotone on every recorded run
         for history in histories:
             for prev, cur in zip(history, history[1:]):

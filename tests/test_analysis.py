@@ -281,8 +281,8 @@ class TestPca:
     def test_full_rank_projection_preserves_distances(self, rng):
         mat = rng.normal(size=(25, 2)).astype(np.float32)
         points = make_embeddings([f"p{i}" for i in range(25)], mat)
-        projection = pca_project(points, 2)
-        proj = np.vstack([projection[f"p{i}"] for i in range(25)])
+        proj = pca_project(points, 2)
+        assert proj.shape == (25, 2) and proj.dtype == np.float64
         orig = mat.astype(np.float64)
         for i in range(0, 25, 5):
             for j in range(25):
@@ -328,8 +328,7 @@ class TestPca:
         points = make_embeddings([f"p{i}" for i in range(30)], mat)
         a = pca_project(points, 2)
         b = pca_project(points, 2)
-        for key in a:
-            assert np.array_equal(a[key], b[key])
+        assert np.array_equal(a, b)
 
 
 class TestFileFormats:

@@ -305,7 +305,6 @@ RESAMPLE_RUNS = {
     "resttest": ["resttest", "-k", "3", "--seed", "5"],
     "candidates": ["candidates", "--per-channel", "3"],
 }
-RESAMPLING = ["restrain-inter", "restrain-extra", "resttest"]
 
 
 def run_resample(command, files, out):
@@ -313,11 +312,12 @@ def run_resample(command, files, out):
                      "--train-emb", files["train_e"], "--test-emb", files["test_e"], "-o", str(out)])
 
 
-@pytest.mark.parametrize("name", RESAMPLING)
+@pytest.mark.parametrize("name", RESAMPLE_RUNS)
 def test_resampling_rejects_shared_id(tmp_path, rng, capsys, name):
     # t00 is both a training and a test query. As a training query it is the
     # farthest from both test vectors, and the default seed's size-5 sample
-    # leaves it out, so no split would contain it: the inputs must be rejected
+    # leaves it out, so no split would contain it: the inputs must be rejected.
+    # candidates must not list the test query t00 in its own pool either
     files = restrain_inputs(tmp_path, rng, n_train=30, dim=2)
     train_matrix = np.vstack([[-10.0, 0.0], [1.0, 0.0] + 0.1 * rng.normal(size=(29, 2))])
     files["train_e"] = emb_file(tmp_path, "train.evec", [f"t{i:02d}" for i in range(30)], train_matrix)
@@ -327,7 +327,7 @@ def test_resampling_rejects_shared_id(tmp_path, rng, capsys, name):
     assert "xtrap: data error: train and test query ids overlap: ['t00']" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", RESAMPLING)
+@pytest.mark.parametrize("name", RESAMPLE_RUNS)
 def test_resampling_rejects_empty_test_set(tmp_path, rng, capsys, name):
     files = restrain_inputs(tmp_path, rng)
     files["test_q"] = write(tmp_path / "empty.tsv", "")

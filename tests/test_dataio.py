@@ -23,7 +23,6 @@ from xtrap.dataio import (
     EmbeddingSet,
     ParseError,
     QrelSet,
-    Query,
     QuerySet,
     RunSet,
     parse_qrels,
@@ -48,7 +47,7 @@ def write_text(tmp_path, name, content):
 class TestParseQueries:
     def test_single_record(self, tmp_path):
         qs = parse_queries(write_text(tmp_path, "q.tsv", "7\thow tall is everest\n"))
-        assert [(q.id, q.text) for q in qs] == [("7", "how tall is everest")]
+        assert list(qs) == [("7", "how tall is everest")]
 
     def test_duplicate_id_names_id_and_line(self, tmp_path):
         path = write_text(tmp_path, "q.tsv", "1\ta\n1\tb\n")
@@ -569,6 +568,13 @@ class TestRecordRulesOneHome:
         with pytest.raises(DataError, match="duplicate embedding id a"):
             es.subset(["a", "a"])
 
+    def test_query_set_is_aligned_columns(self):
+        qs = QuerySet(["x", "y"], ["text x", "text y"])
+        assert list(qs) == [("x", "text x"), ("y", "text y")]
+        assert qs.text("y") == "text y"
+        with pytest.raises(DataError, match="2 ids but 1 texts"):
+            QuerySet(["x", "y"], ["text x"])
+
     def test_query_ids_are_one_stored_tuple(self):
         qs = make_queries(["x", "y"])
         assert qs.ids == ("x", "y")
@@ -743,7 +749,7 @@ def test_binary_reader_total(data):
 
 
 class TestAtomicOutput:
-    QUERIES = QuerySet([Query("q1", "hello")])
+    QUERIES = QuerySet(["q1"], ["hello"])
 
     def test_failed_write_leaves_old_output(self, tmp_path):
         out = write_text(tmp_path, "qrels.txt", "old contents\n")

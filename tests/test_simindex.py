@@ -354,7 +354,7 @@ class TestGridSearch:
 
         scored = []
         for params in grid:
-            run = RunSet({q.id: bm25_search(index, q.text, spec.cutoff, params) for q in queries})
+            run = RunSet({qid: bm25_search(index, text, spec.cutoff, params) for qid, text in queries})
             scored.append((score_run(run, qrels, spec).mean, params))
         best_mean = max(m for m, _ in scored)
         want = min((p for m, p in scored if m == best_mean), key=lambda p: (p.k1, p.b))
@@ -538,13 +538,13 @@ def test_only_top_k_partitions():
 
 _HASH_SEED_PROBE = """
 import sys
-from xtrap.dataio import Query, QuerySet
+from xtrap.dataio import QuerySet
 from xtrap.simindex import Bm25Index, bm25_search
 
 vocab = [f"term{i}" for i in range(24)]
-docs = [Query("d0", " ".join(vocab))]
-docs += [Query(f"f{i}", " ".join(vocab[: i + 1])) for i in range(23)]
-result = bm25_search(Bm25Index(QuerySet(docs)), " ".join(reversed(vocab)), 24)
+ids = ["d0"] + [f"f{i}" for i in range(23)]
+texts = [" ".join(vocab)] + [" ".join(vocab[: i + 1]) for i in range(23)]
+result = bm25_search(Bm25Index(QuerySet(ids, texts)), " ".join(reversed(vocab)), 24)
 sys.stdout.write(repr(result))
 """
 
