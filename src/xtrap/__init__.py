@@ -7,6 +7,13 @@ Ranking models stay outside the toolkit; they interact with it only
 through query, qrels, run, and embedding files.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it: its idle threads then sleep
+# after 2^20 cycles instead of spinning for 2^28 (about 0.1 s of a core)
+# after every call. A user's value wins; other BLAS builds ignore it.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .dataio import (
     DataError,
     EmbeddingSet,

@@ -49,7 +49,8 @@ RNG_ALGORITHM = "pcg64"
 # the float64 difference block and its gathered operands stay in L2 cache
 _BLOCK_ELEMENTS = 48 * 1024
 # rows per block of the assignment screen: per GEMM call, and per block of
-# its float64 per-pair temporaries
+# its float64 per-pair temporaries; a call over fewer rows touches less of
+# OpenBLAS's work buffers (about 60 MiB of RSS for one call over 200k x 768)
 _SCREEN_ROWS = 4096
 # restrain_interpolation's one kNN scan goes past each test query's even
 # share ceil(size / n_test) of the union, because overlapping neighborhoods
@@ -225,14 +226,7 @@ def _assign(
     gamma, tiny = _rounding_bounds(dim)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     c_norms = np.sqrt(c_sq)
-    # all GEMM calls first: BLAS threads spin between calls, and a call
-    # over fewer rows touches less of OpenBLAS's work buffers (about 60 MiB
-    # of RSS for one call over 200k x 768)
     c32 = centroids.astype(np.float32).T
-    dots = np.empty((n, len(centroids)), dtype=np.float32)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _SCREEN_ROWS):
-            np.matmul(X[lo : lo + _SCREEN_ROWS], c32, out=dots[lo : lo + _SCREEN_ROWS])
     assignment = np.empty(n, dtype=np.intp)
     d2min = np.empty(n, dtype=np.float64)
     rescored = 0
@@ -247,7 +241,7 @@ def _assign(
         x_norms = np.sqrt(x_sq)
         err = gamma * (x_norms + c_norms) ** 2 + 4.0 * tiny * (1.0 + x_norms)
         with np.errstate(over="ignore", invalid="ignore"):
-            approx = x_sq - 2.0 * dots[block] + c_sq
+            approx = x_sq - 2.0 * np.matmul(X[block], c32) + c_sq
             high = approx + err
             survive = approx - err <= high.min(axis=1)[:, None]
         # a float32 overflow leaves inf or nan: every centroid of the row survives

@@ -561,6 +561,65 @@ def test_module_entry_point(tmp_path):
     assert "COMMAND" in result.stdout
 
 
+# records the BLAS idle setting at the moment `import xtrap` first asks for numpy
+_NUMPY_IMPORT_PROBE = """
+import os, sys
+
+class Probe:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import xtrap
+print(Probe.seen)
+"""
+
+
+def _env_with_blas_timeout(timeout: str | None) -> dict[str, str]:
+    env = _subprocess_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)  # set in this process by its own `import xtrap`
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    return env
+
+
+@pytest.mark.parametrize("exported, expected", [(None, "20"), ("8", "8")])
+def test_blas_idle_default_set_before_numpy_loads(exported, expected):
+    # OpenBLAS reads the variable once, when numpy loads it
+    result = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_PROBE], capture_output=True,
+                            text=True, env=_env_with_blas_timeout(exported), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr([expected])
+
+
+def test_blas_idle_setting_changes_no_output(tmp_path):
+    rng = np.random.default_rng(5)
+    files = restrain_inputs(tmp_path, rng, n_train=2000, n_test=50, dim=64)
+    commands = {
+        "knn.tsv": ["knn", "--test-emb", files["test_e"], "--train-emb", files["train_e"], "-k", "10"],
+        "folds.manifest": ["resttest", "--train-queries", files["train_q"], "--test-queries",
+                           files["test_q"], "--train-emb", files["train_e"], "--test-emb",
+                           files["test_e"], "-k", "5", "--seed", "3"],
+        "pca.tsv": ["pca", "--emb", files["train_e"], "--manifest", "{out}/folds.manifest"],
+    }
+    outputs = []
+    for timeout in ("28", None):  # OpenBLAS's own default, then xtrap's
+        env = _env_with_blas_timeout(timeout)
+        out = tmp_path / f"out-{timeout}"
+        out.mkdir()
+        for name, argv in commands.items():
+            argv = [arg.format(out=out) for arg in argv] + ["-o", str(out / name)]
+            result = subprocess.run([sys.executable, "-m", "xtrap", *argv], capture_output=True,
+                                    text=True, env=env, timeout=120)
+            assert result.returncode == 0, result.stderr
+        outputs.append({name: (out / name).read_bytes() for name in commands})
+    assert outputs[0] == outputs[1]
+
+
 # {bad} is the fuzzed file; the other fields name valid inputs
 TOTALITY_COMMANDS = [
     ["pca", "--emb", "{bad}"],
