@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _iter_lines, atomic_output
 
 # values per row chunk of PCA's float64 passes; the covariance is summed

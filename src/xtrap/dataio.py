@@ -38,6 +38,7 @@ non-finite score field itself, so that the message quotes the field.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import logging
 import math
@@ -49,7 +50,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+from . import _np as np
 
 logger = logging.getLogger(__name__)
 
@@ -384,6 +385,14 @@ class EmbeddingSet:
     @property
     def dim(self) -> int:
         return int(self._matrix.shape[1])
+
+    @functools.cached_property
+    def id_rank(self) -> np.ndarray:
+        """Rank of each row in ascending id order, computed once; it breaks kNN ties."""
+        rank = np.empty(len(self._ids), dtype=np.intp)
+        rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = np.arange(len(self._ids))
+        rank.setflags(write=False)
+        return rank
 
     def vector(self, eid: str) -> np.ndarray:
         return self._matrix[self._index[eid]]

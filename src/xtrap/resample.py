@@ -34,8 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
+from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
 from .dataio import _iter_lines, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run

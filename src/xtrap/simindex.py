@@ -31,8 +31,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from . import _np as np
 from .dataio import DataError, EmbeddingSet, QrelSet, QuerySet, RunSet, atomic_output
 from .metrics import MetricSpec, score_run
 
@@ -149,9 +148,6 @@ def knn(
         logger.warning("k=%d exceeds training set size %d; returning all neighbors", k, n_train)
         k = n_train
 
-    # rank of each training row in ascending id order; it only breaks ties
-    id_rank = np.empty(n_train, dtype=np.intp)
-    id_rank[sorted(range(n_train), key=train.ids.__getitem__)] = np.arange(n_train)
     n_test, dim = test.matrix.shape
     cosine = measure == "cosine"
 
@@ -258,7 +254,7 @@ def knn(
             vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
         # one dot product per pair: a gemv rounds a row by its batch position
         exact = np.vecdot(vecs, query)
-        top = np.lexsort((id_rank[cand], -exact))[:k]
+        top = np.lexsort((train.id_rank[cand], -exact))[:k]
         index[i] = cand[top]
         top_scores[i] = exact[top]
     return index, top_scores

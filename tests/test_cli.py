@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import struct
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xtrap
 from conftest import FIXTURES, make_embeddings
 from xtrap import cli, resample
 from xtrap.dataio import read_embeddings, write_embeddings, write_run, RunSet
@@ -561,7 +564,8 @@ def test_module_entry_point(tmp_path):
     assert "COMMAND" in result.stdout
 
 
-# records the BLAS idle setting at the moment `import xtrap` first asks for numpy
+# records the BLAS idle setting at the moment numpy's body starts to run (its
+# first submodule import), which xtrap's first array operation sets off
 _NUMPY_IMPORT_PROBE = """
 import os, sys
 
@@ -569,12 +573,13 @@ class Probe:
     seen = []
 
     def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not self.seen:
+        if name.startswith("numpy.") and not self.seen:
             self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
         return None
 
 sys.meta_path.insert(0, Probe())
 import xtrap
+xtrap.EmbeddingSet(["a"], [[1.0]])
 print(Probe.seen)
 """
 
@@ -618,6 +623,118 @@ def test_blas_idle_setting_changes_no_output(tmp_path):
             assert result.returncode == 0, result.stderr
         outputs.append({name: (out / name).read_bytes() for name in commands})
     assert outputs[0] == outputs[1]
+
+
+# prints, as the process exits, whether numpy's body ran in it
+_NUMPY_AT_EXIT = """
+import atexit, sys
+atexit.register(lambda: print("numpy._core" in sys.modules))
+"""
+_RUN_XTRAP = _NUMPY_AT_EXIT + "import runpy; runpy.run_module('xtrap', run_name='__main__')"
+
+
+@pytest.mark.parametrize("code, argv, loads", [
+    (_RUN_XTRAP, ["--help"], False),
+    (_RUN_XTRAP, ["eval", "--run", "{run}", "--qrels", "{qrels}", "--metric", "ndcg@10", "-o", "{out}"], False),
+    (_RUN_XTRAP, ["aggregate", "--manifest", "{manifest}", "--qrels", "{qrels}", "--runs", "{run}", "{run}",
+                  "--metric", "mrr@10", "-o", "{out}"], False),
+    (_RUN_XTRAP, ["overlap", "--test-qrels", str(FIXTURES / "trec19-fixture.qrels"),
+                  "--train-qrels", str(FIXTURES / "train-fixture.qrels"), "-o", "{out}"], False),
+    (_RUN_XTRAP, ["kappa", "--labels", "{labels}", "{labels}", "-o", "{out}"], False),
+    (_NUMPY_AT_EXIT + "import xtrap; xtrap.write_run(xtrap.RunSet({'q0': [('d0', 1.0)]}), sys.argv[1])",
+     ["{out}"], False),
+    (_NUMPY_AT_EXIT + "import xtrap; xtrap.dataio.write_run(xtrap.RunSet({'q0': [('d0', 1.0)]}), sys.argv[1])",
+     ["{out}"], False),
+    (_RUN_XTRAP, ["knn", "--test-emb", "{emb}", "--train-emb", "{emb}", "-k", "1", "-o", "{out}"], True),
+], ids=["help", "eval", "aggregate", "overlap", "kappa", "write_run", "dataio.write_run", "knn"])
+def test_numpy_loads_only_for_array_work(tmp_path, code, argv, loads):
+    files = {"run": tmp_path / "run.txt", "qrels": tmp_path / "qrels.txt", "labels": tmp_path / "labels.tsv",
+             "manifest": tmp_path / "folds.txt", "emb": tmp_path / "e.evec", "out": tmp_path / "out"}
+    files["run"].write_text("q0 Q0 d0 1 2.0 t\nq1 Q0 d1 1 1.0 t\n")
+    files["qrels"].write_text("q0 0 d0 1\nq1 0 d0 2\n")
+    files["labels"].write_text("i0\tyes\ni1\tno\n")
+    files["manifest"].write_text("#regime=resttest\n#k=2\n[training]\n[bucket 0]\nq0\n[bucket 1]\nq1\n")
+    write_embeddings(make_embeddings(["a", "b"], [[1, 0], [0, 1]]), files["emb"])
+    argv = [arg.format(**files) for arg in argv]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                            env=_subprocess_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == str(loads)
+
+
+# eight threads make their first array operation at once, in a fresh process
+_CONCURRENT_FIRST_USE = """
+import threading, xtrap
+errors, start = [], threading.Barrier(8)
+
+def first_array_operation():
+    start.wait()
+    try:
+        xtrap.EmbeddingSet(["a"], [[1.0]])
+    except Exception as e:
+        errors.append(repr(e))
+
+threads = [threading.Thread(target=first_array_operation) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(errors, any(thread.is_alive() for thread in threads))
+"""
+
+
+def test_numpy_loads_whole_under_concurrent_first_use():
+    # a thread arriving while another runs numpy's body waits for all of it
+    result = subprocess.run([sys.executable, "-c", _CONCURRENT_FIRST_USE], capture_output=True, text=True,
+                            env=_subprocess_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[] False"
+
+
+def test_numpy_bound_in_one_place():
+    # the modules take numpy from the package's lazy binding, never by import
+    offenders = []
+    for path in sorted(Path(xtrap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+# the names `xtrap` exported when it imported every module eagerly
+EXPORTS = {
+    "dataio": ["DataError", "EmbeddingSet", "ParseError", "QrelSet", "QuerySet", "RunSet", "parse_qrels",
+               "parse_queries", "parse_run", "read_embeddings", "write_embeddings", "write_qrels",
+               "write_queries", "write_run"],
+    "metrics": ["MetricReport", "MetricSpec", "score_run"],
+    "simindex": ["Bm25Index", "Bm25Params", "bm25_grid_search", "bm25_search", "knn", "recall_candidates",
+                 "tokenize"],
+    "resample": ["FoldSpec", "KMeansConfig", "KMeansResult", "ReSTrainConfig", "SplitSpec", "kmeans",
+                 "read_manifest", "restrain_extrapolation", "restrain_interpolation", "resttest_aggregate",
+                 "resttest_split", "write_manifest"],
+    "analysis": ["GradeThreshold", "OverlapReport", "cohens_kappa", "kendall_tau_b", "median_label",
+                 "pca_components", "pca_project", "relevant_overlap", "spearman"],
+}
+
+
+def test_exports_resolve_to_their_home_objects():
+    star: dict = {}
+    exec("from xtrap import *", star)
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"xtrap.{module}")
+        for name in names:
+            assert getattr(xtrap, name) is getattr(home, name), name
+            assert star[name] is getattr(home, name), name
+    assert sorted(xtrap.__all__) == sorted(name for names in EXPORTS.values() for name in names)
+    assert set(xtrap.__all__) <= set(dir(xtrap))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        xtrap.no_such_name
 
 
 # {bad} is the fuzzed file; the other fields name valid inputs

@@ -464,6 +464,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             es.matrix[0, 0] = 5.0
 
+    def test_embedding_id_rank_is_computed_once_and_read_only(self):
+        es = make_embeddings(["q10", "q2", "q1"], [[1.0], [2.0], [3.0]])
+        assert es.id_rank.tolist() == [1, 2, 0]  # string order: q1 < q10 < q2
+        assert es.id_rank is es.id_rank
+        with pytest.raises(ValueError):
+            es.id_rank[0] = 5
+
 
 class TestIdTokenRule:
     def test_embeddingset_rejects_bad_ids(self):
