@@ -8,44 +8,12 @@ through query, qrels, run, and embedding files.
 """
 
 import importlib
-import importlib.util
 import os
-import sys
-import threading
-import types
 
 # OpenBLAS reads this once, when numpy loads it: its idle threads then sleep
 # after 2^20 cycles instead of spinning for 2^28 (about 0.1 s of a core)
 # after every call. A user's value wins; other BLAS builds ignore it.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
-
-class _LazyModule(types.ModuleType):
-    """A module whose body runs at its first attribute access. The body runs
-    under a lock, so a thread that arrives meanwhile waits for all of it
-    (importlib.util.LazyLoader hands it the half-run module before Python
-    3.12.3); the body's own lookups pass through."""
-
-    lock = threading.RLock()
-    loading = False
-
-    def __getattribute__(self, attr):
-        with _LazyModule.lock:
-            if type(self) is _LazyModule and not _LazyModule.loading:
-                _LazyModule.loading = True
-                self.__spec__.loader.exec_module(self)
-                self.__class__ = types.ModuleType
-        return types.ModuleType.__getattribute__(self, attr)
-
-
-# the modules' one numpy binding: numpy's body runs at the first attribute
-# access, so commands that only read and write text never load it
-_np = sys.modules.get("numpy")
-if _np is None:
-    _spec = importlib.util.find_spec("numpy")
-    if _spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    _np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _np.__class__ = _LazyModule
 
 # public name -> home module; each module loads at its first name's lookup
 _HOMES = {

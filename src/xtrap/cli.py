@@ -321,7 +321,10 @@ def _configure_logging(args) -> None:
         level = logging.INFO
     else:
         level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, so a
+    # second main() in one process sets its level itself
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger().setLevel(level)
 
 
 def main(argv=None) -> int:

@@ -236,10 +236,10 @@ class QrelSet:
     :attr:`overwrites`.
     """
 
-    def __init__(self, grades: Mapping[str, Mapping[str, int]], overwrites: int = 0):
+    def __init__(self, grades: Mapping[str, Mapping[str, int]]):
         self._grades: dict[str, dict[str, int]] = {qid: {} for qid in grades}
         self._add((qid, docid, rel) for qid, docs in grades.items() for docid, rel in docs.items())
-        self.overwrites = overwrites
+        self.overwrites = 0
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[str, str, int]]) -> "QrelSet":

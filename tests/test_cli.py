@@ -1,5 +1,6 @@
 import ast
 import importlib
+import logging
 import os
 import struct
 import subprocess
@@ -90,6 +91,22 @@ def test_emb_format_flag_is_usage_error(tmp_path):
         cli.main(["knn", "--test-emb", test, "--train-emb", train, "-k", "1",
                   "-o", str(tmp_path / "out"), "--emb-format", "binary"])
     assert exc.value.code == 1
+
+
+def test_verbosity_flags_apply_on_every_main_call(tmp_path):
+    # logging.basicConfig sets the level only while the root logger has no handler
+    run = write(tmp_path / "run.txt", "q1 Q0 d1 1 1.0 t\n")
+    qrels = write(tmp_path / "q.txt", "q1 0 d1 1\n")
+    root = logging.getLogger()
+    saved, levels = root.level, []
+    try:
+        for i, flags in enumerate((["-q"], [], ["-v"])):
+            assert cli.main(["eval", "--run", run, "--qrels", qrels, "--metric", "ndcg@10",
+                             "-o", str(tmp_path / f"out{i}"), *flags]) == 0
+            levels.append(root.level)
+    finally:
+        root.setLevel(saved)
+    assert levels == [logging.ERROR, logging.WARNING, logging.INFO]
 
 
 class TestEval:
@@ -689,6 +706,55 @@ def test_numpy_loads_whole_under_concurrent_first_use():
                             env=_subprocess_env(), timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[] False"
+
+
+# numpy's first load fails once (a finder refuses numpy._core), then the
+# array operation is tried again in the same process
+_FAILED_FIRST_LOAD = """
+import sys
+
+class FailOnce:
+    failed = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy._core" and not self.failed:
+            self.failed.append(name)
+            raise ImportError("numpy._core refused once")
+        return None
+
+sys.meta_path.insert(0, FailOnce())
+import xtrap
+for attempt in range(2):
+    try:
+        print(len(xtrap.EmbeddingSet(["a"], [[1.0]])))
+    except Exception as e:
+        print(type(e).__name__)
+"""
+
+
+def test_numpy_load_retried_after_a_failed_first_load():
+    # the import system drops a module whose body raised, so the next
+    # array operation loads numpy afresh instead of finding it half-run
+    result = subprocess.run([sys.executable, "-c", _FAILED_FIRST_LOAD], capture_output=True, text=True,
+                            env=_subprocess_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ImportError", "1"]
+
+
+# what `import xtrap` leaves in sys.modules, then what `import numpy` binds
+_HOST_MODULES = """
+import sys, types, xtrap
+print("numpy" in sys.modules)
+import numpy
+print(type(sys.modules["numpy"]) is types.ModuleType)
+"""
+
+
+def test_import_leaves_host_modules_alone():
+    result = subprocess.run([sys.executable, "-c", _HOST_MODULES], capture_output=True, text=True,
+                            env=_subprocess_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_numpy_bound_in_one_place():
