@@ -21,15 +21,13 @@ _HOMES = {
                      "parse_qrels", "parse_queries", "parse_run", "read_embeddings",
                      "write_embeddings", "write_qrels", "write_queries", "write_run"), "dataio"),
     **dict.fromkeys(("MetricReport", "MetricSpec", "score_run"), "metrics"),
-    **dict.fromkeys(("Bm25Index", "Bm25Params", "bm25_grid_search", "bm25_search", "knn",
-                     "recall_candidates", "tokenize"), "simindex"),
+    **dict.fromkeys(("Bm25Index", "bm25_search", "knn", "recall_candidates", "tokenize"), "simindex"),
     **dict.fromkeys(("FoldSpec", "KMeansConfig", "KMeansResult", "ReSTrainConfig", "SplitSpec",
                      "kmeans", "read_manifest", "restrain_extrapolation",
                      "restrain_interpolation", "resttest_aggregate", "resttest_split",
                      "write_manifest"), "resample"),
     **dict.fromkeys(("GradeThreshold", "OverlapReport", "cohens_kappa", "kendall_tau_b",
-                     "median_label", "pca_components", "pca_project", "relevant_overlap",
-                     "spearman"), "analysis"),
+                     "pca_components", "pca_project", "relevant_overlap", "spearman"), "analysis"),
 }
 __all__ = list(_HOMES)
 __version__ = "0.1.0"

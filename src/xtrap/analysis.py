@@ -258,13 +258,6 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
     return (observed - expected) / (1.0 - expected)
 
 
-def median_label(labels: Sequence) -> object:
-    """Middle element after sorting; requires an odd number of labels."""
-    if len(labels) == 0 or len(labels) % 2 == 0:
-        raise DataError(f"median label needs an odd number of labels, got {len(labels)}")
-    return sorted(labels)[len(labels) // 2]
-
-
 def _row_chunks(matrix: np.ndarray) -> Iterator[np.ndarray]:
     """Float64 copies of `matrix`'s rows, in bounded chunks in row order."""
     step = max(1, _CHUNK_ELEMENTS // matrix.shape[1])

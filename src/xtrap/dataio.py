@@ -394,9 +394,6 @@ class EmbeddingSet:
         rank.setflags(write=False)
         return rank
 
-    def vector(self, eid: str) -> np.ndarray:
-        return self._matrix[self._index[eid]]
-
     def __contains__(self, eid: str) -> bool:
         return eid in self._index
 
@@ -579,7 +576,7 @@ def read_embeddings(path) -> EmbeddingSet:
     u64 count, u32 dim, then per record a u16 id byte length, the UTF-8 id,
     and dim float32 components. A TSV file whose first id begins with
     ``EVEC`` is therefore read as EVEC, and rejected; `write_embeddings`
-    refuses to write one.
+    writes EVEC only.
     """
     with open(path, "rb") as f:
         head = f.read(len(EMBEDDING_MAGIC))
@@ -660,16 +657,8 @@ def _read_embeddings_tsv(path, f: IO[bytes] | None = None, head: bytes = b"") ->
         return EmbeddingSet(ids, np.vstack(rows))
 
 
-def write_embeddings(embeddings: EmbeddingSet, path, format: str = "binary") -> None:
-    if format == "binary":
-        _write_embeddings_binary(embeddings, path)
-    elif format == "tsv":
-        _write_embeddings_tsv(embeddings, path)
-    else:
-        raise ValueError(f"unknown embedding format {format!r}")
-
-
-def _write_embeddings_binary(embeddings: EmbeddingSet, path) -> None:
+def write_embeddings(embeddings: EmbeddingSet, path) -> None:
+    """Write an EVEC file (layout as in `read_embeddings`); it reads back bit-exact."""
     matrix = np.ascontiguousarray(embeddings.matrix, dtype="<f4")
     with atomic_output(path, binary=True) as f:
         f.write(EMBEDDING_MAGIC)
@@ -681,16 +670,3 @@ def _write_embeddings_binary(embeddings: EmbeddingSet, path) -> None:
             f.write(struct.pack("<H", len(id_bytes)))
             f.write(id_bytes)
             f.write(matrix[i].tobytes())
-
-
-def _write_embeddings_tsv(embeddings: EmbeddingSet, path) -> None:
-    if embeddings.ids and embeddings.ids[0].startswith(EMBEDDING_MAGIC.decode()):
-        raise DataError(
-            f"id {embeddings.ids[0]} cannot start a TSV embedding file: "
-            "a file that begins with EVEC is read as EVEC"
-        )
-    # %.9g is lossless for float32 round-trips
-    with atomic_output(path) as f:
-        for i, eid in enumerate(embeddings.ids):
-            comps = " ".join("%.9g" % v for v in embeddings.matrix[i])
-            f.write(f"{eid}\t{comps}\n")

@@ -19,8 +19,8 @@ unit vectors for cosine), whatever the block size or the order of the
 training rows; a float64 GEMM cannot promise that, because BLAS rounds an
 entry of `Q @ T[cols].T` differently from the same entry of `Q @ T.T`.
 The lexical channel is a small in-memory inverted index over the training
-query texts. Both channels select their top k with one primitive,
-`_top_k`.
+query texts, scored by BM25 at the textbook k1=1.2, b=0.75. Both channels
+select their top k with one primitive, `_top_k`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import _np as np
-from .dataio import DataError, EmbeddingSet, QrelSet, QuerySet, RunSet, atomic_output
-from .metrics import MetricSpec, score_run
+from .dataio import DataError, EmbeddingSet, QuerySet, atomic_output
 
 logger = logging.getLogger(__name__)
 
@@ -46,17 +44,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _KNN_BLOCK_ELEMENTS = 32 * 1024 * 1024
 _KNN_BLOCK_MIN_ROWS = 1024
 
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if not self.k1 > 0:
-            raise ValueError("k1 must be > 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must be in [0, 1]")
+_BM25_K1 = 1.2
+_BM25_B = 0.75
 
 
 def _check_measure(measure: str) -> None:
@@ -295,18 +284,13 @@ class Bm25Index:
         self.len_ratio = lens / self.avgdl if self.avgdl > 0 else np.zeros_like(lens)
 
 
-def bm25_search(
-    index: Bm25Index,
-    query_text: str,
-    k: int,
-    params: Bm25Params = Bm25Params(),
-) -> tuple[tuple[str, float], ...]:
+def bm25_search(index: Bm25Index, query_text: str, k: int) -> tuple[tuple[str, float], ...]:
     """Top-k (doc id, score) pairs by BM25 score, best first, ties by
     ascending doc id; zero scores excluded.
 
     score(q,d) = sum over distinct matched terms of
-    idf(t) * tf*(k1+1) / (tf + k1*(1-b+b*len/avgdl)), with the
-    non-negative idf(t) = ln(1 + (N-df+0.5)/(df+0.5)).
+    idf(t) * tf*(k1+1) / (tf + k1*(1-b+b*len/avgdl)), with k1=1.2, b=0.75
+    and the non-negative idf(t) = ln(1 + (N-df+0.5)/(df+0.5)).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -319,30 +303,12 @@ def bm25_search(
         ordinals, tfs = posting
         df = len(ordinals)
         idf = math.log(1.0 + (index.n - df + 0.5) / (df + 0.5))
-        norm = params.k1 * (1.0 - params.b + params.b * index.len_ratio[ordinals])
-        scores[ordinals] += idf * tfs * (params.k1 + 1.0) / (tfs + norm)
+        norm = _BM25_K1 * (1.0 - _BM25_B + _BM25_B * index.len_ratio[ordinals])
+        scores[ordinals] += idf * tfs * (_BM25_K1 + 1.0) / (tfs + norm)
     matched = np.flatnonzero(scores > 0.0)
     top = matched[_top_k(scores[None, matched], k)[0]]
     top = top[np.argsort(-scores[top], kind="stable")]
     return tuple((index.doc_ids[o], float(scores[o])) for o in top)
-
-
-def bm25_grid_search(
-    index: Bm25Index,
-    train_queries: QuerySet,
-    qrels: QrelSet,
-    grid: list[Bm25Params],
-    spec: MetricSpec,
-) -> Bm25Params:
-    """Pick the grid point maximizing the metric; ties favor lower (k1, b)."""
-    if not grid:
-        raise ValueError("parameter grid must not be empty")
-
-    def mean(params: Bm25Params) -> float:
-        rankings = {qid: bm25_search(index, text, spec.cutoff, params) for qid, text in train_queries}
-        return score_run(RunSet(rankings), qrels, spec).mean
-
-    return max(grid, key=lambda p: (mean(p), -p.k1, -p.b))
 
 
 def recall_candidates(
@@ -352,7 +318,6 @@ def recall_candidates(
     train_emb: EmbeddingSet,
     per_channel: int = 10,
     measure: str = "inner_product",
-    params: Bm25Params = Bm25Params(),
 ) -> dict[str, list[str]]:
     """Annotation candidate pool per test query: embedding channel first,
     then unseen BM25 entries; at most 2 * per_channel ids."""
@@ -367,7 +332,7 @@ def recall_candidates(
     for (qid, text), row in zip(test, dense.tolist()):
         pool = [tr.ids[j] for j in row]
         seen = set(pool)
-        for nid, _ in bm25_search(index, text, per_channel, params):
+        for nid, _ in bm25_search(index, text, per_channel):
             if nid not in seen:
                 seen.add(nid)
                 pool.append(nid)

@@ -5,8 +5,9 @@ all-pairs enumeration, textbook formulas) and deliberately avoids the
 library's code paths, so agreement between the two is meaningful. The
 exception is the section at the end: verbatim copies of replaced library
 code (the line-by-line run and qrels readers, the O(n^2) Kendall loop, the
-EVEC reader over a whole-file `bytes` copy), kept so that their
-replacements can be checked against them.
+EVEC reader over a whole-file `bytes` copy) and of code a faster version
+may replace (the BM25 index and scoring), kept so that their replacements
+can be checked against them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from xtrap.dataio import (
     EmbeddingSet,
     ParseError,
     QrelSet,
+    QuerySet,
     RunSet,
     _binary_error,
     _located,
@@ -378,7 +380,7 @@ def read_embeddings(path) -> EmbeddingSet:
     u64 count, u32 dim, then per record a u16 id byte length, the UTF-8 id,
     and dim float32 components. A TSV file whose first id begins with
     ``EVEC`` is therefore read as EVEC, and rejected; `write_embeddings`
-    refuses to write one.
+    writes EVEC only.
     """
     # unbuffered: after a buffered partial read, read() gathers the rest in
     # chunks, which took twice as long as one read sized by the file
@@ -427,3 +429,53 @@ def _read_embeddings_binary(path, data: bytes) -> EmbeddingSet:
         raise _binary_error(path, off, f"{len(data) - off} trailing bytes after {count} records")
     with _located(path):
         return EmbeddingSet(ids, matrix)
+
+
+class Bm25Index:
+    """The inverted index of `xtrap.simindex.Bm25Index`, copied verbatim."""
+
+    def __init__(self, docs: QuerySet):
+        if len(docs) == 0:
+            raise DataError("cannot build a BM25 index over an empty query set")
+        # ordinals follow ascending doc id, so a lower ordinal is a lower id
+        self.doc_ids = tuple(sorted(docs.ids))
+        self.n = len(docs)
+        lens = np.zeros(self.n, dtype=np.float64)
+        postings: dict[str, tuple[list[int], list[int]]] = {}
+        for ordinal, doc_id in enumerate(self.doc_ids):
+            terms = _WORD.findall(docs.text(doc_id).lower())
+            lens[ordinal] = len(terms)
+            counts: dict[str, int] = {}
+            for t in terms:
+                counts[t] = counts.get(t, 0) + 1
+            for t, tf in counts.items():
+                entry = postings.setdefault(t, ([], []))
+                entry[0].append(ordinal)
+                entry[1].append(tf)
+        self.postings = {
+            t: (np.asarray(ords, dtype=np.int64), np.asarray(tfs, dtype=np.float64))
+            for t, (ords, tfs) in postings.items()
+        }
+        self.avgdl = float(lens.sum() / self.n)
+        # length-normalization ratio; zero-length corpus has no postings at all
+        self.len_ratio = lens / self.avgdl if self.avgdl > 0 else np.zeros_like(lens)
+
+
+def bm25_search(index: Bm25Index, query_text: str, k: int) -> tuple[tuple[str, float], ...]:
+    """`xtrap.simindex.bm25_search` at k1=1.2, b=0.75, with the same float
+    expression; the top k come from a full sort on (-score, doc id)."""
+    k1, b = 1.2, 0.75
+    scores = np.zeros(index.n, dtype=np.float64)
+    # first-occurrence order keeps the float sum independent of the hash seed
+    for term in dict.fromkeys(_WORD.findall(query_text.lower())):
+        posting = index.postings.get(term)
+        if posting is None:
+            continue
+        ordinals, tfs = posting
+        df = len(ordinals)
+        idf = math.log(1.0 + (index.n - df + 0.5) / (df + 0.5))
+        norm = k1 * (1.0 - b + b * index.len_ratio[ordinals])
+        scores[ordinals] += idf * tfs * (k1 + 1.0) / (tfs + norm)
+    # a lower ordinal is a lower doc id
+    top = sorted(np.flatnonzero(scores > 0.0).tolist(), key=lambda o: (-scores[o], o))[:k]
+    return tuple((index.doc_ids[o], float(scores[o])) for o in top)

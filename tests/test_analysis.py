@@ -13,7 +13,6 @@ from xtrap.analysis import (
     GradeThreshold,
     cohens_kappa,
     kendall_tau_b,
-    median_label,
     pca_components,
     pca_project,
     read_labels,
@@ -255,17 +254,6 @@ class TestKappa:
             assert kappa <= 1.0 + 1e-12
             if a == b:
                 assert kappa == pytest.approx(1.0)
-
-
-class TestMedianLabel:
-    def test_examples(self):
-        assert median_label([1, 2, 3]) == 2
-        assert median_label([2, 2, 3]) == 2
-        assert median_label([3, 1, 3]) == 3
-
-    def test_even_count_rejected(self):
-        with pytest.raises(DataError):
-            median_label([1, 2])
 
 
 class TestPca:

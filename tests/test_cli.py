@@ -2,6 +2,7 @@ import ast
 import importlib
 import logging
 import os
+import runpy
 import struct
 import subprocess
 import sys
@@ -26,9 +27,9 @@ def write(path, text):
     return str(path)
 
 
-def emb_file(tmp_path, name, ids, matrix, format="binary"):
+def emb_file(tmp_path, name, ids, matrix):
     path = tmp_path / name
-    write_embeddings(make_embeddings(ids, matrix), path, format=format)
+    write_embeddings(make_embeddings(ids, matrix), path)
     return str(path)
 
 
@@ -140,8 +141,8 @@ class TestKnnAndCandidates:
         assert out.read_text() == "q\t1\ta\t1\nq\t2\tb\t0\n"
 
     def test_knn_tsv_embeddings_sniffed(self, tmp_path):
-        train = emb_file(tmp_path, "train.tsv", ["a", "b"], [[1, 0], [0, 1]], format="tsv")
-        test = emb_file(tmp_path, "test.tsv", ["q"], [[1, 0]], format="tsv")
+        train = write(tmp_path / "train.tsv", "a\t1 0\nb\t0 1\n")
+        test = write(tmp_path / "test.tsv", "q\t1 0\n")
         out = tmp_path / "nn.tsv"
         assert cli.main(["knn", "--test-emb", test, "--train-emb", train, "-k", "1",
                          "-o", str(out)]) == 0
@@ -371,8 +372,8 @@ def test_embedding_files_are_aligned_with_query_files(tmp_path, rng, capsys, nam
     assert shuffled.read_bytes() == aligned.read_bytes()
 
     emb = read_embeddings(files["test_e"])
-    kept = [i for i in emb.ids if i != "q2"]
-    files["test_e"] = emb_file(tmp_path, "missing.evec", kept, np.vstack([emb.vector(i) for i in kept]))
+    rows = [j for j, i in enumerate(emb.ids) if i != "q2"]
+    files["test_e"] = emb_file(tmp_path, "missing.evec", [emb.ids[j] for j in rows], emb.matrix[rows])
     capsys.readouterr()
     assert run_resample(RESAMPLE_RUNS[name], files, tmp_path / "missing.out") == 2
     assert "xtrap: data error: no embedding for id q2" in capsys.readouterr().err
@@ -581,6 +582,15 @@ def test_module_entry_point(tmp_path):
     assert "COMMAND" in result.stdout
 
 
+def test_simindex_loads_no_scoring_module():
+    # the similarity module depends on dataio alone, not on metrics or analysis
+    code = "import sys, xtrap.simindex; print(sorted(m for m in sys.modules if m.startswith('xtrap.')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_subprocess_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == repr(["xtrap._np", "xtrap.dataio", "xtrap.simindex"])
+
+
 # records the BLAS idle setting at the moment numpy's body starts to run (its
 # first submodule import), which xtrap's first array operation sets off
 _NUMPY_IMPORT_PROBE = """
@@ -779,13 +789,12 @@ EXPORTS = {
                "parse_queries", "parse_run", "read_embeddings", "write_embeddings", "write_qrels",
                "write_queries", "write_run"],
     "metrics": ["MetricReport", "MetricSpec", "score_run"],
-    "simindex": ["Bm25Index", "Bm25Params", "bm25_grid_search", "bm25_search", "knn", "recall_candidates",
-                 "tokenize"],
+    "simindex": ["Bm25Index", "bm25_search", "knn", "recall_candidates", "tokenize"],
     "resample": ["FoldSpec", "KMeansConfig", "KMeansResult", "ReSTrainConfig", "SplitSpec", "kmeans",
                  "read_manifest", "restrain_extrapolation", "restrain_interpolation", "resttest_aggregate",
                  "resttest_split", "write_manifest"],
-    "analysis": ["GradeThreshold", "OverlapReport", "cohens_kappa", "kendall_tau_b", "median_label",
-                 "pca_components", "pca_project", "relevant_overlap", "spearman"],
+    "analysis": ["GradeThreshold", "OverlapReport", "cohens_kappa", "kendall_tau_b", "pca_components",
+                 "pca_project", "relevant_overlap", "spearman"],
 }
 
 
@@ -801,6 +810,20 @@ def test_exports_resolve_to_their_home_objects():
     assert set(xtrap.__all__) <= set(dir(xtrap))
     with pytest.raises(AttributeError, match="no_such_name"):
         xtrap.no_such_name
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark tracer wraps these names from outside; one that no longer
+    # resolves drops its per-layer metrics from every traced run
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracing.py"))
+    missing = []
+    for module, attr, _, _ in tracing["WRAPPED"]:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 # {bad} is the fuzzed file; the other fields name valid inputs

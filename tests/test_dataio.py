@@ -212,15 +212,31 @@ class TestEmbeddingsBinary:
         es = read_embeddings(path)
         assert es.ids == ("q",)
         assert es.dim == 2
-        assert np.array_equal(es.vector("q"), np.array([1.0, 0.0], dtype=np.float32))
+        assert np.array_equal(es.matrix[0], np.array([1.0, 0.0], dtype=np.float32))
+
+    def test_writer_known_bytes(self, tmp_path):
+        path = tmp_path / "e.evec"
+        write_embeddings(make_embeddings(["q"], [[1.0, 0.0]]), path)
+        blob = EMBEDDING_MAGIC + struct.pack("<IQI", 1, 1, 2)
+        blob += struct.pack("<H", 1) + b"q" + np.array([1.0, 0.0], dtype="<f4").tobytes()
+        assert path.read_bytes() == blob
+
+    def test_writer_refuses_id_over_65535_bytes(self, tmp_path):
+        path = tmp_path / "e.evec"
+        write_embeddings(make_embeddings(["é" * 32767 + "x"], [[1.0]]), path)
+        assert read_embeddings(path).ids == ("é" * 32767 + "x",)
+        path.unlink()
+        with pytest.raises(DataError, match="exceeds 65535 UTF-8 bytes"):
+            write_embeddings(make_embeddings(["a", "é" * 32768], [[1.0], [2.0]]), path)
+        assert not path.exists()
 
     def test_roundtrip_bit_exact(self, tmp_path, rng):
         es = random_embedding_set(rng, 17, 5, id_maker=lambda i: f"qé{i}")
         p1, p2 = tmp_path / "a.evec", tmp_path / "b.evec"
-        write_embeddings(es, p1, format="binary")
+        write_embeddings(es, p1)
         back = read_embeddings(p1)
         assert back == es
-        write_embeddings(back, p2, format="binary")
+        write_embeddings(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_file_without_magic_is_read_as_tsv(self, tmp_path):
@@ -244,7 +260,7 @@ class TestEmbeddingsBinary:
     def test_every_truncation_errors(self, tmp_path, rng):
         es = random_embedding_set(rng, 3, 4)
         path = tmp_path / "full.evec"
-        write_embeddings(es, path, format="binary")
+        write_embeddings(es, path)
         blob = path.read_bytes()
         for cut in range(len(blob)):
             trunc = write_text(tmp_path, "t.evec", blob[:cut])
@@ -254,7 +270,7 @@ class TestEmbeddingsBinary:
     def test_trailing_bytes_error(self, tmp_path, rng):
         es = random_embedding_set(rng, 2, 3)
         path = tmp_path / "full.evec"
-        write_embeddings(es, path, format="binary")
+        write_embeddings(es, path)
         bloated = write_text(tmp_path, "b.evec", path.read_bytes() + b"x")
         with pytest.raises(ParseError) as exc:
             read_embeddings(bloated)
@@ -286,14 +302,14 @@ class TestEmbeddingsBinary:
     def test_empty_set_roundtrip(self, tmp_path):
         es = make_embeddings([], np.empty((0, 3), dtype=np.float32))
         path = tmp_path / "e.evec"
-        write_embeddings(es, path, format="binary")
+        write_embeddings(es, path)
         assert read_embeddings(path) == es
 
     def test_long_id(self, tmp_path):
         eid = "x" * 300
         es = make_embeddings([eid], [[1.0, 2.0]])
         path = tmp_path / "e.evec"
-        write_embeddings(es, path, format="binary")
+        write_embeddings(es, path)
         assert read_embeddings(path).ids == (eid,)
 
 
@@ -364,27 +380,20 @@ class TestEmbeddingsTsv:
     def test_parse(self, tmp_path):
         es = read_embeddings(write_text(tmp_path, "e.tsv", "q\t0.5 -0.5\n"))
         assert es.dim == 2
-        assert np.allclose(es.vector("q"), [0.5, -0.5])
+        assert np.allclose(es.matrix[0], [0.5, -0.5])
 
     def test_roundtrip_values_exact(self, tmp_path, rng):
+        # %.9g text parses back to the exact float32
         es = random_embedding_set(rng, 9, 4)
-        p1 = tmp_path / "a.tsv"
-        write_embeddings(es, p1, format="tsv")
-        back = read_embeddings(p1)
-        assert back == es
-        p2 = tmp_path / "b.tsv"
-        write_embeddings(back, p2, format="tsv")
-        assert p1.read_bytes() == p2.read_bytes()
+        rows = (f"{eid}\t{' '.join('%.9g' % v for v in row)}\n" for eid, row in zip(es.ids, es.matrix))
+        assert read_embeddings(write_text(tmp_path, "a.tsv", "".join(rows))) == es
 
-    def test_first_id_with_magic_prefix_not_written(self, tmp_path):
-        # such a file would be read back as EVEC and rejected
-        path = tmp_path / "e.tsv"
-        with pytest.raises(DataError, match="id EVECx cannot start a TSV embedding file"):
-            write_embeddings(make_embeddings(["EVECx", "b"], [[1.0], [2.0]]), path, format="tsv")
-        assert not path.exists()
-        es = make_embeddings(["b", "EVECx"], [[1.0], [2.0]])
-        write_embeddings(es, path, format="tsv")
-        assert read_embeddings(path) == es
+    def test_first_id_with_magic_prefix_read_as_evec(self, tmp_path):
+        # the file decides its format: this one is read as EVEC, and rejected
+        with pytest.raises(ParseError):
+            read_embeddings(write_text(tmp_path, "e.tsv", "EVECx\t1\nb\t2\n"))
+        es = read_embeddings(write_text(tmp_path, "f.tsv", "b\t1\nEVECx\t2\n"))
+        assert es == make_embeddings(["b", "EVECx"], [[1.0], [2.0]])
 
     def test_dim_mismatch(self, tmp_path):
         path = write_text(tmp_path, "e.tsv", "a\t1 2\nb\t1 2 3\n")
@@ -616,7 +625,7 @@ def test_binary_embedding_roundtrip_property(ids, dim, data):
     )
     es = make_embeddings(ids, np.asarray(values, dtype=np.float32).reshape(len(ids), dim))
     with tempfile.NamedTemporaryFile(suffix=".evec") as f:
-        write_embeddings(es, f.name, format="binary")
+        write_embeddings(es, f.name)
         assert read_embeddings(f.name) == es
 
 
