@@ -26,8 +26,8 @@ _HOMES = {
                      "kmeans", "read_manifest", "restrain_extrapolation",
                      "restrain_interpolation", "resttest_aggregate", "resttest_split",
                      "write_manifest"), "resample"),
-    **dict.fromkeys(("GradeThreshold", "OverlapReport", "cohens_kappa", "kendall_tau_b",
-                     "pca_components", "pca_project", "relevant_overlap", "spearman"), "analysis"),
+    **dict.fromkeys(("GradeThreshold", "cohens_kappa", "kendall_tau_b", "pca_components",
+                     "pca_project", "relevant_overlap", "spearman"), "analysis"),
 }
 __all__ = list(_HOMES)
 __version__ = "0.1.0"

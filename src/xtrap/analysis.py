@@ -13,6 +13,7 @@ not for the resampling protocol itself.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -73,16 +74,11 @@ class OverlapRow:
         return 100.0 * self.count / self.total
 
 
-@dataclass(frozen=True)
-class OverlapReport:
-    rows: tuple[OverlapRow, ...]
-
-
 def relevant_overlap(
     test_qrels: QrelSet,
     train_qrels: QrelSet,
     thresholds: Sequence[GradeThreshold] = DEFAULT_THRESHOLDS,
-) -> OverlapReport:
+) -> tuple[OverlapRow, ...]:
     """Fraction of test queries sharing a relevant doc with the training judgments.
 
     A test query counts at a threshold when one of its docs both satisfies
@@ -99,15 +95,13 @@ def relevant_overlap(
         shared = [rel for docid, rel in test_qrels.docs(qid).items() if docid in train_relevant]
         for i, th in enumerate(thresholds):
             counts[i] += any(th.matches(rel) for rel in shared)
-    return OverlapReport(
-        rows=tuple(OverlapRow(threshold=th, count=c, total=len(test_ids)) for th, c in zip(thresholds, counts))
-    )
+    return tuple(OverlapRow(threshold=th, count=c, total=len(test_ids)) for th, c in zip(thresholds, counts))
 
 
-def write_overlap_report(report: OverlapReport, path) -> None:
-    """TSV `threshold<TAB>count<TAB>total<TAB>percent`."""
+def write_overlap_report(rows: Sequence[OverlapRow], path) -> None:
+    """TSV `threshold<TAB>count<TAB>total<TAB>percent`, one line per row."""
     with atomic_output(path) as f:
-        for row in report.rows:
+        for row in rows:
             f.write(f"{row.threshold.label}\t{row.count}\t{row.total}\t{row.percent:.2f}\n")
 
 
@@ -244,13 +238,8 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
     if n == 0:
         raise DataError("label vectors are empty")
     observed = sum(1 for a, b in zip(labels_a, labels_b) if a == b) / n
-    counts_a: dict = {}
-    counts_b: dict = {}
-    for a in labels_a:
-        counts_a[a] = counts_a.get(a, 0) + 1
-    for b in labels_b:
-        counts_b[b] = counts_b.get(b, 0) + 1
-    expected = sum(counts_a[c] * counts_b.get(c, 0) for c in counts_a) / (n * n)
+    counts_a, counts_b = Counter(labels_a), Counter(labels_b)
+    expected = sum(counts_a[c] * counts_b[c] for c in counts_a) / (n * n)
     if expected == 1.0:
         if observed == 1.0:
             return 1.0

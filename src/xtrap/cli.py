@@ -10,6 +10,7 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import sys
 
@@ -18,8 +19,6 @@ from . import analysis, dataio, metrics, resample, simindex
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-DEFAULT_SEED = 42
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,8 +116,9 @@ def cmd_resttest(args) -> int:
 
 def _add_metric(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", required=True, help="mrr@10, ndcg@10, or recall@100")
-    parser.add_argument("--rel-threshold", type=int, default=1, help="binarization grade (TREC DL convention: 2)")
-    parser.add_argument("--gain", choices=metrics.GAINS, default="linear", help="ndcg gain function")
+    parser.add_argument("--rel-threshold", type=int, default=metrics.MetricSpec.rel_threshold,
+                        help="binarization grade (TREC DL convention: 2)")
+    parser.add_argument("--gain", choices=metrics.GAINS, default=metrics.MetricSpec.gain, help="ndcg gain function")
 
 
 def _metric_spec(args) -> metrics.MetricSpec:
@@ -142,7 +142,7 @@ def cmd_aggregate(args) -> int:
     fold_spec = resample.read_manifest(args.manifest)
     if not isinstance(fold_spec, resample.FoldSpec):
         raise dataio.DataError(
-            f"{args.manifest} is a {fold_spec.regime} split manifest, not a resttest fold manifest"
+            f"{args.manifest} is an {fold_spec.regime} split manifest, not a resttest fold manifest"
         )
     if len(args.runs) != fold_spec.k:
         raise dataio.DataError(f"expected {fold_spec.k} fold runs, got {len(args.runs)}")
@@ -163,9 +163,9 @@ def cmd_overlap(args) -> int:
         raise ValueError("at least one threshold is required")
     test_qrels = dataio.parse_qrels(args.test_qrels)
     train_qrels = dataio.parse_qrels(args.train_qrels)
-    report = analysis.relevant_overlap(test_qrels, train_qrels, thresholds)
-    analysis.write_overlap_report(report, args.output)
-    for row in report.rows:
+    rows = analysis.relevant_overlap(test_qrels, train_qrels, thresholds)
+    analysis.write_overlap_report(rows, args.output)
+    for row in rows:
         print(f"{row.threshold.label}: {row.count}/{row.total} test queries ({row.percent:.1f}%)")
     return EXIT_OK
 
@@ -202,10 +202,8 @@ def cmd_kappa(args) -> int:
         if missing or len(rater) != len(base_ids):
             raise dataio.DataError(f"{path} labels a different item set than {args.labels[0]}")
         aligned.append([mapping[i] for i in base_ids])
-    results: list[tuple[str, float]] = []
-    for a in range(len(aligned)):
-        for b in range(a + 1, len(aligned)):
-            results.append((f"rater{a + 1}-rater{b + 1}", analysis.cohens_kappa(aligned[a], aligned[b])))
+    pairs = itertools.combinations(enumerate(aligned, 1), 2)
+    results = [(f"rater{a}-rater{b}", analysis.cohens_kappa(x, y)) for (a, x), (b, y) in pairs]
     if len(results) > 1:
         results.append(("mean", sum(v for _, v in results) / len(results)))
     _write_values(results, args.output)
@@ -253,19 +251,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("restrain", help="resample the training set against a fixed test set")
     p.add_argument("--regime", choices=("inter", "extra"), required=True)
     _add_resample_inputs(p)
-    p.add_argument("-E", "--exclude-depth", type=int, default=1, help="neighbors excluded per test query (extrapolation)")
+    p.add_argument("-E", "--exclude-depth", type=int, default=resample.ReSTrainConfig.exclude_depth,
+                   help="neighbors excluded per test query (extrapolation)")
     p.add_argument("--size", type=int, required=True, help="target training set size")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=resample.ReSTrainConfig.seed)
     p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
     _add_common(p)
     p.set_defaults(func=cmd_restrain)
 
     p = sub.add_parser("resttest", help="k-means bucket folds over train and test queries")
     _add_resample_inputs(p)
-    p.add_argument("-k", type=int, default=5, help="bucket count")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-4, help="centroid-shift stopping tolerance")
+    p.add_argument("-k", type=int, default=resample.KMeansConfig.k, help="bucket count")
+    p.add_argument("--seed", type=int, default=resample.KMeansConfig.seed)
+    p.add_argument("--max-iters", type=int, default=resample.KMeansConfig.max_iters)
+    p.add_argument("--tol", type=float, default=resample.KMeansConfig.tol, help="centroid-shift stopping tolerance")
     p.add_argument("--normalize", action="store_true", help="L2-normalize vectors before clustering")
     _add_common(p)
     p.set_defaults(func=cmd_resttest)
@@ -288,7 +287,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("overlap", help="train-test relevant-doc overlap at grade thresholds")
     p.add_argument("--test-qrels", required=True)
     p.add_argument("--train-qrels", required=True)
-    p.add_argument("--thresholds", default="geq:1,geq:2,eq:3", help="comma-separated geq:N / eq:N")
+    p.add_argument("--thresholds", default=",".join(t.label for t in analysis.DEFAULT_THRESHOLDS),
+                   help="comma-separated geq:N / eq:N")
     _add_common(p)
     p.set_defaults(func=cmd_overlap)
 

@@ -155,18 +155,16 @@ _BLOCK_BYTES = 1 << 20
 _BLANK = ("", "\r")
 
 
-def _iter_blocks(path, f: IO[bytes] | None = None, head: bytes = b"") -> Iterator[tuple[int, list[str]]]:
+def _iter_blocks(path, f: IO[bytes] | None = None) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based number of the first line, lines) over blocks of whole lines.
 
     Lines are split on ``\\n`` only and keep a trailing ``\\r``. Invalid UTF-8
     raises ParseError at its line, after the lines before it were yielded.
-    `f` is `path` already open, with `head` its bytes read so far: a pipe
-    can be opened and read only once.
+    `f` is `path` already open: a pipe can be opened and read only once.
     """
     with open(path, "rb") if f is None else contextlib.nullcontext(f) as f:
         first = 1
-        while block := head + f.read(_BLOCK_BYTES) + f.readline():
-            head = b""
+        while block := f.read(_BLOCK_BYTES) + f.readline():
             try:
                 text, bad = block.decode("utf-8"), b""
             except UnicodeDecodeError as e:
@@ -185,13 +183,13 @@ def _iter_blocks(path, f: IO[bytes] | None = None, head: bytes = b"") -> Iterato
                     raise ParseError(path, f"invalid UTF-8: {e}", first) from e
 
 
-def _iter_lines(path, f: IO[bytes] | None = None, head: bytes = b"") -> Iterator[tuple[int, str]]:
+def _iter_lines(path, f: IO[bytes] | None = None) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line) with terminators removed.
 
-    Blank lines are skipped; invalid UTF-8 raises ParseError. `f` and `head`
-    are as for `_iter_blocks`.
+    Blank lines are skipped; invalid UTF-8 raises ParseError. `f` is as for
+    `_iter_blocks`.
     """
-    for first, lines in _iter_blocks(path, f, head):
+    for first, lines in _iter_blocks(path, f):
         for lineno, line in enumerate(lines, first):
             if line not in _BLANK:
                 yield lineno, line.removesuffix("\r")
@@ -274,9 +272,6 @@ class QrelSet:
     def relevant_docs(self) -> set[str]:
         """The doc ids graded relevant (grade >= 1) for some query."""
         return {docid for docs in self._grades.values() for docid, rel in docs.items() if rel >= 1}
-
-    def grade(self, query_id: str, doc_id: str, default: int = 0) -> int:
-        return self._grades.get(query_id, {}).get(doc_id, default)
 
     def has_query(self, query_id: str) -> bool:
         return query_id in self._grades
@@ -579,16 +574,16 @@ def read_embeddings(path) -> EmbeddingSet:
     writes EVEC only.
     """
     with open(path, "rb") as f:
-        head = f.read(len(EMBEDDING_MAGIC))
-        if head == EMBEDDING_MAGIC:
+        if f.peek(len(EMBEDDING_MAGIC)).startswith(EMBEDDING_MAGIC):
             return _read_embeddings_binary(path, f)
-        return _read_embeddings_tsv(path, f, head)
+        return _read_embeddings_tsv(path, f)
 
 
 def _read_embeddings_binary(path, f: IO[bytes]) -> EmbeddingSet:
-    """Read the EVEC records after the magic; each vector is read straight
+    """Read an EVEC file from `f` at its start; each vector is read straight
     into its row of the matrix, and an error's offset is the file position."""
     read, readinto = f.read, f.readinto
+    read(len(EMBEDDING_MAGIC))  # `read_embeddings` only peeked at it
 
     def take(n: int, what: str) -> bytes:
         chunk = read(n)
@@ -627,12 +622,12 @@ def _read_embeddings_binary(path, f: IO[bytes]) -> EmbeddingSet:
         return EmbeddingSet(ids, matrix)
 
 
-def _read_embeddings_tsv(path, f: IO[bytes] | None = None, head: bytes = b"") -> EmbeddingSet:
-    """Read TSV records; `f` and `head` are as for `_iter_blocks`."""
+def _read_embeddings_tsv(path, f: IO[bytes] | None = None) -> EmbeddingSet:
+    """Read TSV records; `f` is as for `_iter_blocks`."""
     ids: list[str] = []
     rows: list[np.ndarray] = []
     lines: list[int] = []
-    for lineno, line in _iter_lines(path, f, head):
+    for lineno, line in _iter_lines(path, f):
         if "\t" not in line:
             raise ParseError(path, "expected 'id<TAB>v1 v2 ...'", lineno)
         eid, rest = line.split("\t", 1)

@@ -31,14 +31,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
-from .dataio import _iter_lines, atomic_output
+from .dataio import _iter_lines, _located, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run
-from .simindex import MEASURES, _check_query_sets, _rounding_bounds, knn
+from .simindex import _check_measure, _check_query_sets, _rounding_bounds, knn
 
 logger = logging.getLogger(__name__)
 
@@ -95,8 +96,7 @@ class ReSTrainConfig:
             raise ValueError("target_size must be >= 1")
         if self.exclude_depth < 1:
             raise ValueError("exclude_depth must be >= 1")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown similarity measure {self.measure!r}")
+        _check_measure(self.measure)
 
     def provenance(self) -> dict[str, str]:
         return {
@@ -161,8 +161,9 @@ class FoldSpec:
         if len(self.buckets) != self.k:
             raise DataError(f"expected {self.k} buckets, got {len(self.buckets)}")
         all_ids = [i for bucket in self.buckets for i in bucket]
-        if len(set(all_ids)) != len(all_ids):
-            raise DataError("buckets must partition the queries; found a duplicate id")
+        duplicate = next((i for i, n in Counter(all_ids).items() if n > 1), None)
+        if duplicate is not None:
+            raise DataError(f"buckets must partition the queries; found a duplicate id {duplicate}")
         missing = self._train_set.difference(all_ids)
         if missing:
             raise DataError(f"training ids missing from buckets: {sorted(missing)[:5]}")
@@ -619,7 +620,8 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
     for name, lineno in starts.items():
         if name not in expected:
             raise ParseError(path, f"unexpected section [{name}] for #regime={regime}", lineno)
-    if regime == "resttest":
-        buckets = tuple(tuple(sections[name]) for name in names[1:])
-        return FoldSpec(k=k, buckets=buckets, train_ids=tuple(sections["training"]), provenance=headers)
-    return SplitSpec(regime, tuple(sections["training"]), tuple(sections[names[1]]), provenance=headers)
+    with _located(path):
+        if regime == "resttest":
+            buckets = tuple(tuple(sections[name]) for name in names[1:])
+            return FoldSpec(k=k, buckets=buckets, train_ids=tuple(sections["training"]), provenance=headers)
+        return SplitSpec(regime, tuple(sections["training"]), tuple(sections[names[1]]), provenance=headers)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from collections import Counter
 from typing import Sequence
 
 from . import _np as np
@@ -268,10 +269,7 @@ class Bm25Index:
         for ordinal, doc_id in enumerate(self.doc_ids):
             terms = tokenize(docs.text(doc_id))
             lens[ordinal] = len(terms)
-            counts: dict[str, int] = {}
-            for t in terms:
-                counts[t] = counts.get(t, 0) + 1
-            for t, tf in counts.items():
+            for t, tf in Counter(terms).items():
                 entry = postings.setdefault(t, ([], []))
                 entry[0].append(ordinal)
                 entry[1].append(tf)

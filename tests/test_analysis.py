@@ -37,6 +37,10 @@ class TestGradeThreshold:
             with pytest.raises(ValueError):
                 GradeThreshold.parse(bad)
 
+    def test_negative_value_rejected(self):
+        with pytest.raises(ValueError, match=r"^threshold value must be >= 0$"):
+            GradeThreshold("geq", -1)
+
     def test_matches(self):
         assert GradeThreshold("geq", 2).matches(3)
         assert not GradeThreshold("geq", 2).matches(1)
@@ -49,19 +53,19 @@ class TestRelevantOverlap:
         test = qrels_from([("q1", "a", 3), ("q2", "b", 2)])
         train = qrels_from([("t1", "x", 1), ("t2", "y", 1)])
         report = relevant_overlap(test, train)
-        assert all(row.count == 0 for row in report.rows)
+        assert all(row.count == 0 for row in report)
 
     def test_full_overlap(self):
         test = qrels_from([("q1", "a", 3), ("q2", "b", 3)])
         train = qrels_from([("t1", "a", 1), ("t2", "b", 1)])
         report = relevant_overlap(test, train)
-        assert all(row.count == 2 and row.percent == 100.0 for row in report.rows)
+        assert all(row.count == 2 and row.percent == 100.0 for row in report)
 
     def test_grade_zero_training_doc_does_not_count(self):
         test = qrels_from([("q1", "a", 3)])
         train = qrels_from([("t1", "a", 0)])
         report = relevant_overlap(test, train)
-        assert all(row.count == 0 for row in report.rows)
+        assert all(row.count == 0 for row in report)
 
     def test_thresholds_select_different_queries(self):
         test = qrels_from(
@@ -69,7 +73,7 @@ class TestRelevantOverlap:
         )
         train = qrels_from([("t", "a", 1), ("t", "b", 1), ("t", "c", 1)])
         report = relevant_overlap(test, train, DEFAULT_THRESHOLDS)
-        by_label = {row.threshold.label: row.count for row in report.rows}
+        by_label = {row.threshold.label: row.count for row in report}
         assert by_label == {"geq:1": 3, "geq:2": 2, "eq:3": 1}
 
     def test_monotone_in_threshold(self, rng):
@@ -87,7 +91,7 @@ class TestRelevantOverlap:
                 qrels_from(train_triples),
                 [GradeThreshold("geq", 1), GradeThreshold("geq", 2), GradeThreshold("geq", 3)],
             )
-            counts = [row.count for row in report.rows]
+            counts = [row.count for row in report]
             assert counts[0] >= counts[1] >= counts[2]
 
     def test_empty_test_qrels_rejected(self):
@@ -123,6 +127,11 @@ class TestSpearman:
     def test_too_few_pairs(self):
         with pytest.raises(DataError):
             spearman([("a", 1, 2)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(DataError, match=r"^correlation inputs must be finite$"):
+            spearman([("a", 1.0, 2.0), ("b", bad, 3.0), ("c", 3.0, 1.0)])
 
     def test_monotone_transform_invariance(self, rng):
         xs = rng.normal(size=20)

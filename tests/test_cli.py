@@ -110,6 +110,19 @@ def test_verbosity_flags_apply_on_every_main_call(tmp_path):
     assert levels == [logging.ERROR, logging.WARNING, logging.INFO]
 
 
+def test_two_verbose_flags_log_debug(tmp_path):
+    run = write(tmp_path / "run.txt", "q1 Q0 d1 1 1.0 t\n")
+    qrels = write(tmp_path / "q.txt", "q1 0 d1 1\n")
+    root = logging.getLogger()
+    saved = root.level
+    try:
+        assert cli.main(["eval", "--run", run, "--qrels", qrels, "--metric", "ndcg@10",
+                         "-o", str(tmp_path / "out"), "-vv"]) == 0
+        assert root.level == logging.DEBUG
+    finally:
+        root.setLevel(saved)
+
+
 class TestEval:
     def test_spec_example_output(self, tmp_path, capsys):
         run = write(tmp_path / "run.txt", "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\n")
@@ -379,6 +392,42 @@ def test_embedding_files_are_aligned_with_query_files(tmp_path, rng, capsys, nam
     assert "xtrap: data error: no embedding for id q2" in capsys.readouterr().err
 
 
+# manifests that are well formed line by line but break a rule of the fold
+# or split they describe; like a syntax error, the message names the file
+SPEC_RULE_BREAKS = {
+    "duplicate-id": ("aggregate", "#regime=resttest\n#k=2\n[training]\n[bucket 0]\nq0\n[bucket 1]\nq0\n",
+                     "buckets must partition the queries; found a duplicate id q0"),
+    "unbucketed-training-id": ("aggregate", "#regime=resttest\n#k=2\n[training]\nb\n[bucket 0]\nq0\n[bucket 1]\nq1\n",
+                               "training ids missing from buckets: ['b']"),
+    "k=1": ("aggregate", "#regime=resttest\n#k=1\n[training]\n[bucket 0]\nq0\n",
+            "k must be >= 2: a single bucket leaves no training data"),
+    "shared-id": ("pca", "#regime=interpolation\n#seed=1\n[training]\nt1\n[test-interpolation]\nt1\n",
+                  "training and test ids overlap: ['t1']"),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_RULE_BREAKS)
+def test_manifest_rule_errors_name_the_manifest(tmp_path, rng, capsys, name):
+    command, text, message = SPEC_RULE_BREAKS[name]
+    manifest = write(tmp_path / "m.txt", text)
+    qrels = write(tmp_path / "qrels.txt", "q0 0 d1 1\nq1 0 d1 1\n")
+    inputs = {
+        "aggregate": ["--qrels", qrels, "--runs", qrels, qrels, "--metric", "mrr@10"],
+        "pca": ["--emb", emb_file(tmp_path, "e.evec", ["t1", "q1"], rng.normal(size=(2, 3)))],
+    }
+    assert cli.main([command, "--manifest", manifest, *inputs[command], "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"xtrap: data error: {manifest}: {message}\n"
+
+
+def test_aggregate_names_the_regime_of_a_split_manifest(tmp_path, capsys):
+    manifest = write(tmp_path / "m.txt", "#regime=interpolation\n[training]\nt1\n[test-interpolation]\nq1\n")
+    qrels = write(tmp_path / "qrels.txt", "q1 0 d1 1\n")
+    assert cli.main(["aggregate", "--manifest", manifest, "--qrels", qrels, "--runs", qrels,
+                     "--metric", "mrr@10", "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"xtrap: data error: {manifest} is an interpolation split manifest, not a resttest fold manifest\n"
+
+
 class TestOverlapCli:
     def test_fixture_reproduces_published_rows(self, tmp_path, capsys):
         out = tmp_path / "overlap.tsv"
@@ -399,6 +448,14 @@ class TestOverlapCli:
         assert cli.main(["overlap", "--test-qrels", test, "--train-qrels", train,
                          "--thresholds", "eq:1,geq:3", "-o", str(out)]) == 0
         assert out.read_text() == "eq:1\t0\t2\t0.00\ngeq:3\t1\t2\t50.00\n"
+
+    def test_empty_threshold_list_is_usage_error(self, tmp_path, capsys):
+        qrels = write(tmp_path / "t.qrels", "q1 0 a 3\n")
+        out = tmp_path / "o.tsv"
+        assert cli.main(["overlap", "--test-qrels", qrels, "--train-qrels", qrels,
+                         "--thresholds", ",", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "xtrap: error: at least one threshold is required\n"
+        assert not out.exists()
 
 
 class TestCorrelateCli:
@@ -793,7 +850,7 @@ EXPORTS = {
     "resample": ["FoldSpec", "KMeansConfig", "KMeansResult", "ReSTrainConfig", "SplitSpec", "kmeans",
                  "read_manifest", "restrain_extrapolation", "restrain_interpolation", "resttest_aggregate",
                  "resttest_split", "write_manifest"],
-    "analysis": ["GradeThreshold", "OverlapReport", "cohens_kappa", "kendall_tau_b", "pca_components",
+    "analysis": ["GradeThreshold", "cohens_kappa", "kendall_tau_b", "pca_components",
                  "pca_project", "relevant_overlap", "spearman"],
 }
 

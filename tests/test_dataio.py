@@ -95,12 +95,12 @@ class TestParseQueries:
 class TestParseQrels:
     def test_single_record(self, tmp_path):
         qrels = parse_qrels(write_text(tmp_path, "q.txt", "q1 0 d9 2\n"))
-        assert qrels.grade("q1", "d9") == 2
+        assert qrels.docs("q1")["d9"] == 2
 
     def test_last_record_wins_with_counter(self, tmp_path, caplog):
         with caplog.at_level("WARNING"):
             qrels = parse_qrels(write_text(tmp_path, "q.txt", "q1 0 d9 2\nq1 0 d9 3\n"))
-        assert qrels.grade("q1", "d9") == 3
+        assert qrels.docs("q1")["d9"] == 3
         assert qrels.overwrites == 1
         assert any("duplicate" in r.message for r in caplog.records)
 
@@ -124,7 +124,7 @@ class TestParseQrels:
 
     def test_tab_separated_accepted(self, tmp_path):
         qrels = parse_qrels(write_text(tmp_path, "q.txt", "q1\t0\td9\t1\n"))
-        assert qrels.grade("q1", "d9") == 1
+        assert qrels.docs("q1")["d9"] == 1
 
     def test_roundtrip_canonical(self, tmp_path):
         path = write_text(tmp_path, "q.txt", "q2 0 d1 3\nq1 0 d2 0\nq1 0 d1 2\n")
@@ -171,6 +171,12 @@ class TestParseRun:
     def test_field_count_enforced(self, tmp_path):
         with pytest.raises(ParseError):
             parse_run(write_text(tmp_path, "r.txt", "q1 Q0 dA 1 2.0\n"))
+
+    def test_non_numeric_score_names_the_field(self, tmp_path):
+        path = write_text(tmp_path, "r.txt", "q1 Q0 dA 1 2.0 t\nq1 Q0 dB 2 abc t\n")
+        with pytest.raises(ParseError) as exc:
+            parse_run(path)
+        assert str(exc.value) == f"{path}:2: score must be a number, got 'abc'"
 
     def test_ordering_is_permutation_invariant(self, tmp_path, rng):
         lines = [
@@ -461,6 +467,15 @@ class TestContainers:
             EmbeddingSet(["a"], np.zeros((2, 2), dtype=np.float32))
         with pytest.raises(DataError):
             EmbeddingSet(["a"], np.array([[np.inf, 0.0]], dtype=np.float32))
+
+    @pytest.mark.parametrize("ids, matrix, message", [
+        (["a", "b"], np.zeros(2, dtype=np.float32), "embedding matrix must be 2-dimensional"),
+        (["a"], np.zeros((1, 0), dtype=np.float32), "embedding dim must be positive"),
+    ])
+    def test_embeddingset_shape_rules(self, ids, matrix, message):
+        with pytest.raises(DataError) as exc:
+            EmbeddingSet(ids, matrix)
+        assert str(exc.value) == message
 
     def test_embedding_subset_names_missing_id(self):
         es = make_embeddings(["a", "b"], [[1.0], [2.0]])
@@ -797,6 +812,17 @@ class TestAtomicOutput:
         assert data == b"q1\thello\n"
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert list(tmp_path.iterdir()) == [fifo]
+
+
+    def test_writes_past_a_stale_temp_file(self, tmp_path):
+        # a temp file left by a killed run of a process with the same pid
+        out = tmp_path / "queries.tsv"
+        stale = tmp_path / f".queries.tsv.{os.getpid()}.0.tmp"
+        stale.write_text("stale\n")
+        write_queries(self.QUERIES, out)
+        assert out.read_text() == "q1\thello\n"
+        assert stale.read_text() == "stale\n"
+        assert sorted(tmp_path.iterdir()) == [stale, out]
 
 
 def _opens_for_writing(call: ast.Call) -> bool:

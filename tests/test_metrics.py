@@ -41,6 +41,10 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             MetricSpec("mrr", rel_threshold=0)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown metric kind 'map'$"):
+            MetricSpec("map")
+
 
 class TestMrr:
     def test_first_ranked_relevant(self):

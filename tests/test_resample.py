@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 import tracemalloc
 import weakref
@@ -180,6 +181,55 @@ def test_kmeans_matches_float64_lloyd_oracle(data):
         assert got.centroids.tobytes() == want[1].tobytes()
         assert list(got.history) == want[2]
         assert got.iterations == want[3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kmeans_tol_stop_matches_float64_lloyd_oracle(data):
+    # tol 0 never stops before the fixpoint, an infinite tol stops at
+    # iteration 1; the 2^-12 and 2^-16 scales make shifts below 1e-4 common
+    dim = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 30))
+    rows = data.draw(arrays(np.int8, (n, dim), elements=st.integers(-3, 3)))
+    scale = data.draw(st.sampled_from([1.0, 2.0**-12, 2.0**-16]))
+    points = make_embeddings([f"p{i:02d}" for i in range(n)], rows * scale)
+    k = data.draw(st.integers(1, n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    tol = data.draw(st.sampled_from([0.0, 1e-4, math.inf]))
+    got = kmeans(points, KMeansConfig(k=k, seed=seed, tol=tol))
+    want = oracles.kmeans_lloyd(points.matrix, k, seed, tol=tol)
+    assert np.array_equal(got.assignment, want[0])
+    assert got.centroids.tobytes() == want[1].tobytes()
+    assert list(got.history) == want[2]
+    assert got.iterations == want[3]
+
+
+def test_kmeans_tol_stops_before_the_fixpoint():
+    # seed 8 picks the points 5 and 7; 0..6 go to 5 (6 ties, the lower index
+    # wins) and 7 to 7. Iteration 1 moves the centroids to 3 and 7, a shift
+    # of 2 < tol, so it stops there although point 5 still changes bucket
+    points = make_embeddings([f"p{i}" for i in range(8)], [[float(i)] for i in range(8)])
+    result = kmeans(points, KMeansConfig(k=2, seed=8, tol=3.0))
+    assert result.iterations == 1
+    assert result.assignment.tolist() == [0, 0, 0, 0, 0, 0, 1, 1]
+    assert result.centroids.tolist() == [[3.0], [7.0]]
+    assert result.history == (56.0, 20.0)
+    # without the tol stop the same start reaches its fixpoint at iteration 3
+    assert kmeans(points, KMeansConfig(k=2, seed=8, tol=0.0)).iterations == 3
+
+
+@pytest.mark.parametrize("config, fields, message", [
+    (KMeansConfig, {"k": 0}, "k must be >= 1"),
+    (KMeansConfig, {"max_iters": 0}, "max_iters must be >= 1"),
+    (KMeansConfig, {"tol": -1e-4}, "tol must be >= 0"),
+    (ReSTrainConfig, {"target_size": 0}, "target_size must be >= 1"),
+    (ReSTrainConfig, {"target_size": 1, "exclude_depth": 0}, "exclude_depth must be >= 1"),
+    (ReSTrainConfig, {"target_size": 1, "measure": "l2"}, "unknown similarity measure 'l2'"),
+])
+def test_configs_reject_invalid_fields(config, fields, message):
+    with pytest.raises(ValueError) as exc:
+        config(**fields)
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 def neighbor_id_lists(test_emb, train_emb, depth):
@@ -429,6 +479,18 @@ class TestSplitSpecValidation:
             SplitSpec("weird", ("a",), ("b",))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SplitSpec("interpolation", ("a",), ("b", "b")), "duplicate ids in test_ids"),
+    (lambda: FoldSpec(k=3, buckets=(("a",), ("b",)), train_ids=()), "expected 3 buckets, got 2"),
+    (lambda: FoldSpec(k=2, buckets=(("a", "b"), ("c", "b")), train_ids=()),
+     "buckets must partition the queries; found a duplicate id b"),
+])
+def test_spec_rules_name_what_broke_them(build, message):
+    with pytest.raises(DataError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 class TestResttestSplit:
     def test_k1_rejected(self, rng):
         train_emb = random_embeddings(rng, "t", 5, 2)
@@ -479,6 +541,13 @@ class TestResttestSplit:
         emb = random_embeddings(rng, "x", 6, 2)
         with pytest.raises(DataError):
             resttest_split(emb, emb, KMeansConfig(k=2))
+
+    def test_dim_mismatch_rejected(self, rng):
+        train_emb = random_embeddings(rng, "t", 5, 2)
+        test_emb = random_embeddings(rng, "q", 2, 3)
+        with pytest.raises(DataError) as exc:
+            resttest_split(train_emb, test_emb, KMeansConfig(k=2))
+        assert str(exc.value) == "dimension mismatch: train dim 2, test dim 3"
 
 
 def recall_run(query_hits: dict[str, int], total=5):
@@ -645,6 +714,11 @@ class TestManifest:
         with pytest.raises(DataError):
             write_manifest(split, tmp_path / "m.txt")
 
+    def test_unknown_spec_type_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="^cannot serialize object$"):
+            write_manifest(object(), tmp_path / "m.txt")
+        assert list(tmp_path.iterdir()) == []
+
     def test_splitspec_roundtrip_property(self, tmp_path):
         from hypothesis import example, given, settings
         from hypothesis import strategies as st
@@ -686,3 +760,19 @@ class TestManifest:
             path.write_text(content)
             with pytest.raises(ParseError):
                 read_manifest(path)
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("#regime=interpolation\n[training]\na\n#seed=1\n", ":4", "header line after a section started"),
+        ("#regime=interpolation\n[training]\na\n[training]\nb\n", ":4", "duplicate section [training]"),
+        # the header rules below are checked after the whole file is read
+        ("#regime=resttest\n#k=x\n[training]\n", "", "#k must be an integer"),
+        ("#regime=sideways\n[training]\n", "", "unknown regime 'sideways'"),
+    ])
+    def test_malformed_manifest_messages(self, tmp_path, text, where, message):
+        from xtrap.dataio import ParseError
+
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            read_manifest(path)
+        assert str(exc.value) == f"{path}{where}: {message}"

@@ -375,6 +375,20 @@ class TestRecallCandidates:
         assert "t1" in str(exc.value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda emb, queries: knn(emb, emb, 0), "k must be >= 1"),
+    (lambda emb, queries: knn(emb, emb, 1, measure="l2"), "unknown similarity measure 'l2'"),
+    (lambda emb, queries: bm25_search(Bm25Index(queries), "red", 0), "k must be >= 1"),
+    (lambda emb, queries: recall_candidates(queries, queries, emb, emb, per_channel=0), "per_channel must be >= 1"),
+], ids=["knn-k", "knn-measure", "bm25-k", "candidates-per-channel"])
+def test_out_of_range_arguments_are_usage_errors(call, message):
+    emb = make_embeddings(["a"], [[1.0]])
+    queries = make_queries(["a"], ["red fox"])
+    with pytest.raises(ValueError) as exc:
+        call(emb, queries)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 class TestSerialization:
     def test_neighbor_tsv_format_and_determinism(self, tmp_path, rng):
         train = random_embeddings(rng, "t", 20, 3)
