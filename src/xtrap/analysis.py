@@ -215,19 +215,17 @@ def kendall_tau_b(pairs: PairedScores) -> float:
     return concordant_minus_discordant / denom
 
 
-def read_labels(path) -> list[tuple[str, str]]:
-    """TSV `item_id<TAB>label`, one labeled item per line."""
-    items: list[tuple[str, str]] = []
-    seen: set[str] = set()
+def read_labels(path) -> dict[str, str]:
+    """TSV `item_id<TAB>label`, one labeled item per line: {item: label} in file order."""
+    labels: dict[str, str] = {}
     for lineno, line in _iter_lines(path):
         if "\t" not in line:
             raise ParseError(path, "expected 'item_id<TAB>label'", lineno)
         item, label = line.split("\t", 1)
-        if item in seen:
+        if item in labels:
             raise ParseError(path, f"duplicate item id {item}", lineno)
-        seen.add(item)
-        items.append((item, label))
-    return items
+        labels[item] = label
+    return labels
 
 
 def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
@@ -237,14 +235,13 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
     n = len(labels_a)
     if n == 0:
         raise DataError("label vectors are empty")
-    observed = sum(1 for a, b in zip(labels_a, labels_b) if a == b) / n
+    # (observed - expected) / (1 - expected) over the common denominator n^2,
+    # in exact integers, so the result is rounded once
+    agree = sum(1 for a, b in zip(labels_a, labels_b) if a == b)
     counts_a, counts_b = Counter(labels_a), Counter(labels_b)
-    expected = sum(counts_a[c] * counts_b[c] for c in counts_a) / (n * n)
-    if expected == 1.0:
-        if observed == 1.0:
-            return 1.0
-        raise DataError("kappa undefined: expected agreement is 1 but raters disagree")
-    return (observed - expected) / (1.0 - expected)
+    chance = sum(counts_a[c] * counts_b[c] for c in counts_a)
+    # chance == n^2 only when both raters used one label, the same one
+    return 1.0 if chance == n * n else (n * agree - chance) / (n * n - chance)
 
 
 def _row_chunks(matrix: np.ndarray) -> Iterator[np.ndarray]:

@@ -36,6 +36,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-q", "--quiet", action="store_true", help="errors only")
 
 
+def _add_measure(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--measure", choices=simindex.MEASURES, default=resample.ReSTrainConfig.measure)
+
+
 def cmd_knn(args) -> int:
     test = dataio.read_embeddings(args.test_emb)
     train = dataio.read_embeddings(args.train_emb)
@@ -194,14 +198,10 @@ def cmd_kappa(args) -> int:
     if not 2 <= len(args.labels) <= 3:
         raise ValueError("kappa needs 2 or 3 label files")
     raters = [analysis.read_labels(path) for path in args.labels]
-    base_ids = [item for item, _ in raters[0]]
-    aligned = [[label for _, label in raters[0]]]
     for path, rater in zip(args.labels[1:], raters[1:]):
-        mapping = dict(rater)
-        missing = [i for i in base_ids if i not in mapping]
-        if missing or len(rater) != len(base_ids):
+        if rater.keys() != raters[0].keys():
             raise dataio.DataError(f"{path} labels a different item set than {args.labels[0]}")
-        aligned.append([mapping[i] for i in base_ids])
+    aligned = [[rater[item] for item in raters[0]] for rater in raters]
     pairs = itertools.combinations(enumerate(aligned, 1), 2)
     results = [(f"rater{a}-rater{b}", analysis.cohens_kappa(x, y)) for (a, x), (b, y) in pairs]
     if len(results) > 1:
@@ -237,14 +237,14 @@ def build_parser() -> _Parser:
     p.add_argument("--test-emb", required=True, help="test query embeddings")
     p.add_argument("--train-emb", required=True, help="training query embeddings")
     p.add_argument("-k", type=int, required=True, help="neighbors per test query")
-    p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
+    _add_measure(p)
     _add_common(p)
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("candidates", help="annotation candidate pools (embedding + BM25 channels)")
     _add_resample_inputs(p)
     p.add_argument("--per-channel", type=int, default=10, help="neighbors per channel")
-    p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
+    _add_measure(p)
     _add_common(p)
     p.set_defaults(func=cmd_candidates)
 
@@ -255,7 +255,7 @@ def build_parser() -> _Parser:
                    help="neighbors excluded per test query (extrapolation)")
     p.add_argument("--size", type=int, required=True, help="target training set size")
     p.add_argument("--seed", type=int, default=resample.ReSTrainConfig.seed)
-    p.add_argument("--measure", choices=simindex.MEASURES, default="inner_product")
+    _add_measure(p)
     _add_common(p)
     p.set_defaults(func=cmd_restrain)
 
@@ -313,14 +313,8 @@ def build_parser() -> _Parser:
 
 
 def _configure_logging(args) -> None:
-    if getattr(args, "quiet", False):
-        level = logging.ERROR
-    elif getattr(args, "verbose", 0) >= 2:
-        level = logging.DEBUG
-    elif getattr(args, "verbose", 0) == 1:
-        level = logging.INFO
-    else:
-        level = logging.WARNING
+    # each -v lowers the level by one step, from WARNING down to DEBUG
+    level = logging.ERROR if args.quiet else max(logging.DEBUG, logging.WARNING - 10 * args.verbose)
     # basicConfig does nothing once the root logger has a handler, so a
     # second main() in one process sets its level itself
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")

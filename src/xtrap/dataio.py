@@ -212,9 +212,6 @@ class QuerySet:
     def text(self, query_id: str) -> str:
         return self._texts[self._index[query_id]]
 
-    def __contains__(self, query_id: str) -> bool:
-        return query_id in self._index
-
     def __iter__(self) -> Iterator[tuple[str, str]]:
         """(id, text) pairs in order."""
         return zip(self._ids, self._texts)
@@ -310,9 +307,6 @@ class RunSet:
     def ranking(self, query_id: str) -> tuple[tuple[str, float], ...]:
         return self._rankings.get(query_id, ())
 
-    def __contains__(self, query_id: str) -> bool:
-        return query_id in self._rankings
-
     def __len__(self) -> int:
         return len(self._rankings)
 
@@ -388,9 +382,6 @@ class EmbeddingSet:
         rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = np.arange(len(self._ids))
         rank.setflags(write=False)
         return rank
-
-    def __contains__(self, eid: str) -> bool:
-        return eid in self._index
 
     def __len__(self) -> int:
         return len(self._ids)

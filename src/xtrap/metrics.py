@@ -51,8 +51,9 @@ class MetricSpec:
         return f"{self.kind}@{self.cutoff}"
 
     @classmethod
-    def parse(cls, text: str, rel_threshold: int = 1, gain: str = "linear") -> "MetricSpec":
-        """Parse 'mrr@10', 'ndcg@10', 'recall@100' (cutoff optional)."""
+    def parse(cls, text: str, **fields) -> "MetricSpec":
+        """Parse 'mrr@10', 'ndcg@10', 'recall@100' (cutoff optional); `fields`
+        sets the other fields."""
         kind, sep, cut = text.partition("@")
         kind = kind.strip().lower()
         if kind not in KINDS:
@@ -63,7 +64,7 @@ class MetricSpec:
                 cutoff = int(cut)
             except ValueError:
                 raise ValueError(f"bad cutoff in metric {text!r}") from None
-        return cls(kind=kind, cutoff=cutoff, rel_threshold=rel_threshold, gain=gain)
+        return cls(kind=kind, cutoff=cutoff, **fields)
 
 
 @dataclass

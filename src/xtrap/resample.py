@@ -81,6 +81,15 @@ class KMeansConfig:
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
+    def provenance(self) -> dict[str, str]:
+        return {
+            "seed": str(self.seed),
+            "max_iters": str(self.max_iters),
+            "tol": repr(self.tol),
+            "normalize": str(self.normalize).lower(),
+            "rng": RNG_ALGORITHM,
+        }
+
 
 @dataclass(frozen=True)
 class ReSTrainConfig:
@@ -438,9 +447,9 @@ def restrain_extrapolation(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg:
 
 def resttest_split(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: KMeansConfig) -> FoldSpec:
     """Cluster training and test queries together and derive leave-one-bucket-out folds."""
-    _check_query_sets(train_emb, test_emb)
     if cfg.k < 2:
-        raise DataError("k must be >= 2: a single bucket leaves no training data")
+        raise ValueError("k must be >= 2: a single bucket leaves no training data")
+    _check_query_sets(train_emb, test_emb)
     if train_emb.dim != test_emb.dim:
         raise DataError(f"dimension mismatch: train dim {train_emb.dim}, test dim {test_emb.dim}")
     combined = EmbeddingSet(train_emb.ids + test_emb.ids, np.vstack([train_emb.matrix, test_emb.matrix]))
@@ -454,13 +463,7 @@ def resttest_split(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: KMeansC
         k=cfg.k,
         buckets=tuple(tuple(combined.ids[j] for j in bucket.tolist()) for bucket in rows),
         train_ids=train_emb.ids,
-        provenance={
-            "seed": str(cfg.seed),
-            "max_iters": str(cfg.max_iters),
-            "tol": repr(cfg.tol),
-            "normalize": str(cfg.normalize).lower(),
-            "rng": RNG_ALGORITHM,
-        },
+        provenance=cfg.provenance(),
     )
 
 
@@ -572,9 +575,11 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
     """Read back a manifest written by :func:`write_manifest`.
 
     Headers other than ``#regime`` and ``#k`` are free-form provenance. A
-    section that the regime does not define is an error at its header line.
+    bad ``#regime`` or ``#k`` value, or a section that the regime does not
+    define, is an error at its line.
     """
     headers: dict[str, str] = {}
+    header_lines: dict[str, int] = {}
     sections: dict[str, list[str]] = {}
     starts: dict[str, int] = {}
     current: str | None = None
@@ -586,6 +591,7 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
             if not sep:
                 raise ParseError(path, "header must look like #key=value", lineno)
             headers[key] = value
+            header_lines[key] = lineno
         elif line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
             if current in sections:
@@ -605,14 +611,14 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
         try:
             k = int(headers.pop("k"))
         except ValueError:
-            raise ParseError(path, "#k must be an integer") from None
+            raise ParseError(path, "#k must be an integer", header_lines["k"]) from None
         # with k >= len(sections) some bucket below len(sections) is missing,
         # so the list stays no longer than the file
         names = ["training", *(f"bucket {b}" for b in range(min(k, len(sections))))]
     elif regime is None:
         raise ParseError(path, "missing #regime header")
     else:
-        raise ParseError(path, f"unknown regime {regime!r}")
+        raise ParseError(path, f"unknown regime {regime!r}", header_lines["regime"])
     for name in names:
         if name not in sections:
             raise ParseError(path, f"missing [{name}] section")

@@ -7,17 +7,17 @@ against the stored float32 matrix. A column survives when its float32
 score lies within a certified rounding bound (Higham's inner-product
 bound for the float32 and the float64 dot product) of a lower bound on
 the k-th best float64 score, so no column of the exact top k is dropped.
-That lower bound, the floor, comes from a whole-block `_top_k` only until
-it is finite; after that a block raises it from its screen survivors
-alone, because a column below the screen cannot raise it. Survivors are
-located as flat indices of the block, split into rows and columns by
-`divmod`, which is far cheaper than a 2-D `np.nonzero` and gives the same
-row-major order. Only the survivors are rescored in float64, one dot
-product per pair, and ties are broken by ascending neighbor id. Every
-score is therefore the float64 dot product of the two vectors (of the
-unit vectors for cosine), whatever the block size or the order of the
-training rows; a float64 GEMM cannot promise that, because BLAS rounds an
-entry of `Q @ T[cols].T` differently from the same entry of `Q @ T.T`.
+That lower bound, the floor, starts from a `_top_k` over the first block,
+which is at least k columns wide; every later block raises it from its
+screen survivors alone, because a column below the screen cannot raise it.
+Survivors are located as flat indices of the block, split into rows and
+columns by `divmod`, which is far cheaper than a 2-D `np.nonzero` and gives
+the same row-major order. Only the survivors are rescored in float64, one
+dot product per pair, and ties are broken by ascending neighbor id. Every
+score is therefore the float64 dot product of the two vectors (of the unit
+vectors for cosine), whatever the block size or the order of the training
+rows; a float64 GEMM cannot promise that, because BLAS rounds an entry of
+`Q @ T[cols].T` differently from the same entry of `Q @ T.T`.
 The lexical channel is a small in-memory inverted index over the training
 query texts, scored by BM25 at the textbook k1=1.2, b=0.75. Both channels
 select their top k with one primitive, `_top_k`.
@@ -166,11 +166,7 @@ def knn(
     gamma, tiny = _rounding_bounds(dim)
     row_bound = gamma * scale * query_norms
 
-    block = max(_KNN_BLOCK_MIN_ROWS, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
-    # per test query: the k largest lower bounds on float64 scores seen so
-    # far, whose minimum `floor` bounds the final k-th score from below
-    best_low = np.empty((n_test, 0), dtype=np.float64)
-    floor = np.full(n_test, -np.inf)
+    block = max(_KNN_BLOCK_MIN_ROWS, k, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
     found_rows, found_cols, found_high = [], [], []
     for base in range(0, n_train, block):
         stop = min(n_train, base + block)
@@ -184,13 +180,19 @@ def knn(
         else:
             col_max = float(train_norms[base:stop].max())
             err = row_bound * col_max + tiny * (1.0 + col_max)
+        if base == 0:
+            # the block is at least k wide (k <= n_train): per test query, the
+            # k largest lower bounds on float64 scores so far, whose minimum
+            # `floor` bounds the final k-th score (-inf keeps every column)
+            best_low = np.take_along_axis(scores, _top_k(scores, k), axis=1) - err[:, None]
+            floor = best_low.min(axis=1)
         # flat indices into the block: divmod by its width is row-major
         width = stop - base
-        if np.isfinite(floor).all():
-            # k lower bounds are held, and a column below the screen has a
-            # lower bound at or below the floor: only the survivors can raise
-            # it, and they raise it as far as the whole block would
-            flat = np.flatnonzero(scores >= _float32_floor(floor - err)[:, None])
+        flat = np.flatnonzero(scores >= _float32_floor(floor - err)[:, None])
+        if base > 0:
+            # a column below the screen has a lower bound at or below the
+            # floor: only the survivors can raise it, and they raise it as far
+            # as the whole block would
             rows = flat // width
             low = scores.reshape(-1)[flat] - err[rows]
             raises = low > floor[rows]
@@ -211,13 +213,6 @@ def knn(
                 best_low = np.take_along_axis(held, _top_k(held, k), axis=1)
                 floor = best_low.min(axis=1)
                 flat = flat[scores.reshape(-1)[flat] >= _float32_floor(floor - err)[flat // width]]
-        else:
-            picks = np.take_along_axis(scores, _top_k(scores, k), axis=1)
-            low = np.hstack([best_low, picks - err[:, None]])
-            best_low = np.take_along_axis(low, _top_k(low, k), axis=1)
-            if best_low.shape[1] == k:
-                floor = best_low.min(axis=1)
-            flat = np.flatnonzero(scores >= _float32_floor(floor - err)[:, None])
         rows, cols = np.divmod(flat, width)
         found_rows.append(rows)
         found_cols.append(cols + base)

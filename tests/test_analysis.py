@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -264,6 +265,22 @@ class TestKappa:
             if a == b:
                 assert kappa == pytest.approx(1.0)
 
+    def test_hand_rounds_once(self):
+        # 11/32 exactly; rounding p_o, p_e and their quotient apart gave
+        # 0.34374999999999994, which a 4-decimal report printed as 0.3437
+        assert cohens_kappa(list("xxzyyzx"), list("xxxzyzz")) == 0.34375
+
+    @settings(max_examples=300, deadline=None)
+    @example(pairs=list(zip("xxzyyzx", "xxxzyzz")))
+    @given(pairs=st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz")), min_size=1, max_size=40))
+    def test_equals_exact_rational_rounded(self, pairs):
+        a, b = (list(labels) for labels in zip(*pairs))
+        n = len(a)
+        observed = Fraction(sum(x == y for x, y in pairs), n)
+        expected = sum(Fraction(a.count(c) * b.count(c), n * n) for c in set(a))
+        want = 1.0 if expected == 1 else float((observed - expected) / (1 - expected))
+        assert cohens_kappa(a, b) == want
+
 
 class TestPca:
     def test_axis_recovery(self, rng):
@@ -349,7 +366,7 @@ class TestFileFormats:
     def test_read_labels(self, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text("item1\tfull\nitem2\tzero\n")
-        assert read_labels(path) == [("item1", "full"), ("item2", "zero")]
+        assert list(read_labels(path).items()) == [("item1", "full"), ("item2", "zero")]
         path.write_text("item1\tfull\nitem1\tzero\n")
         with pytest.raises(ParseError):
             read_labels(path)

@@ -332,6 +332,13 @@ class TestResttestAndAggregate:
         assert "xtrap: error: tol must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_bucket_is_usage_error(self, tmp_path, rng, capsys):
+        files = restrain_inputs(tmp_path, rng)
+        out = tmp_path / "folds.txt"
+        assert run_resample(["resttest", "-k", "1"], files, out) == 1
+        assert "xtrap: error: k must be >= 2: a single bucket leaves no training data" in capsys.readouterr().err
+        assert not out.exists()
+
 
 RESAMPLE_RUNS = {
     "restrain-inter": ["restrain", "--regime", "inter", "--size", "5"],

@@ -495,8 +495,9 @@ class TestResttestSplit:
     def test_k1_rejected(self, rng):
         train_emb = random_embeddings(rng, "t", 5, 2)
         test_emb = random_embeddings(rng, "q", 2, 2)
-        with pytest.raises(DataError) as exc:
+        with pytest.raises(ValueError) as exc:
             resttest_split(train_emb, test_emb, KMeansConfig(k=1))
+        assert not isinstance(exc.value, DataError)
         assert "k must be >= 2" in str(exc.value)
 
     def test_two_blobs_fold_semantics(self, rng):
@@ -764,9 +765,8 @@ class TestManifest:
     @pytest.mark.parametrize("text, where, message", [
         ("#regime=interpolation\n[training]\na\n#seed=1\n", ":4", "header line after a section started"),
         ("#regime=interpolation\n[training]\na\n[training]\nb\n", ":4", "duplicate section [training]"),
-        # the header rules below are checked after the whole file is read
-        ("#regime=resttest\n#k=x\n[training]\n", "", "#k must be an integer"),
-        ("#regime=sideways\n[training]\n", "", "unknown regime 'sideways'"),
+        ("#regime=resttest\n#k=x\n[training]\n", ":2", "#k must be an integer"),
+        ("#regime=sideways\n[training]\n", ":1", "unknown regime 'sideways'"),
     ])
     def test_malformed_manifest_messages(self, tmp_path, text, where, message):
         from xtrap.dataio import ParseError

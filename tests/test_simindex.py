@@ -188,6 +188,20 @@ class TestKnn:
             want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
             assert got == want
 
+    def test_infinite_first_floor_keeps_later_columns(self, monkeypatch):
+        # blocks of k rows; under cosine the first holds a row whose 1/|t|
+        # overflows float32, so its error bound and every floor start at -inf
+        # and the later blocks' survivor passes must keep every column
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 1)
+        rows = [[3e-45, 0], [1, 1], [1e-42, 1e-42], [1, 0], [0, -1], [-2, 1], [1, 3]]
+        train = make_embeddings([f"t{i}" for i in range(len(rows))], rows)
+        test = make_embeddings(["a", "b"], [[1, 2], [-1, 0.5]])
+        for k in range(1, len(rows) + 1):
+            got = knn_lists(test, train, k, measure="cosine")
+            want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, "cosine")
+            assert got == want
+
     def test_empty_test_set(self):
         train = make_embeddings(["a"], [[1, 0]])
         test = make_embeddings([], np.zeros((0, 2)))
