@@ -110,6 +110,8 @@ def cmd_resttest(args) -> int:
         tol=args.tol,
         normalize=args.normalize,
     )
+    if args.k < 2:
+        raise ValueError("k must be >= 2: a single bucket leaves no training data")
     _, _, train_emb, test_emb = _read_aligned(args)
     folds = resample.resttest_split(train_emb, test_emb, cfg)
     resample.write_manifest(folds, args.output)

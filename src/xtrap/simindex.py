@@ -40,10 +40,9 @@ MEASURES = ("inner_product", "cosine")
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
-# rows per float32 score block in the kNN scan: the block's scores and the
-# partition copy inside _top_k peak at 8 bytes per element (256 MiB here)
+# float32 score elements per kNN block for any n_test (a block is at least k
+# rows): its scores and _top_k's partition copy take 8 bytes each (256 MiB)
 _KNN_BLOCK_ELEMENTS = 32 * 1024 * 1024
-_KNN_BLOCK_MIN_ROWS = 1024
 
 _BM25_K1 = 1.2
 _BM25_B = 0.75
@@ -153,8 +152,10 @@ def knn(
         queries /= query_norms[:, None]
         query_norms = np.ones(n_test)
         inv_norms = 1.0 / train_norms
-        # a clamped factor only occurs in a block whose bound is infinite
-        inv_norms32 = np.minimum(inv_norms, 2.0**100).astype(np.float32)
+        # float32 holds 2^126; below it, underflow costs at most tiny * 2^126
+        # = dim 2^-23 of a block's bound, so only a norm below float32's
+        # normal range, whose clamped factor is inexact, makes it infinite
+        inv_norms32 = np.minimum(inv_norms, 2.0**126).astype(np.float32)
     # an exact power-of-two scale keeps float32 scores far from overflow
     peak = float(query_norms.max(initial=0.0) * train_norms.max())
     scale = 2.0 ** -max(0, math.ceil(math.log2(peak)) - 100) if peak > 0.0 else 1.0
@@ -166,7 +167,7 @@ def knn(
     gamma, tiny = _rounding_bounds(dim)
     row_bound = gamma * scale * query_norms
 
-    block = max(_KNN_BLOCK_MIN_ROWS, k, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
+    block = max(k, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
     found_rows, found_cols, found_high = [], [], []
     for base in range(0, n_train, block):
         stop = min(n_train, base + block)
@@ -174,9 +175,7 @@ def knn(
         if cosine:
             scores *= inv_norms32[base:stop]
             col_max = float(inv_norms[base:stop].max())
-            err = row_bound + tiny * (1.0 + col_max)
-            if col_max > 2.0**100:
-                err = np.full(n_test, np.inf)
+            err = row_bound + (tiny * (1.0 + col_max) if col_max <= 2.0**126 else math.inf)
         else:
             col_max = float(train_norms[base:stop].max())
             err = row_bound * col_max + tiny * (1.0 + col_max)

@@ -339,6 +339,14 @@ class TestResttestAndAggregate:
         assert "xtrap: error: k must be >= 2: a single bucket leaves no training data" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_bucket_fails_before_reading(self, tmp_path, capsys):
+        # none of the four inputs exists: the usage error comes before any read
+        files = {name: str(tmp_path / f"{name}.missing") for name in ("train_q", "test_q", "train_e", "test_e")}
+        out = tmp_path / "folds.txt"
+        assert run_resample(["resttest", "-k", "1"], files, out) == 1
+        assert capsys.readouterr().err == "xtrap: error: k must be >= 2: a single bucket leaves no training data\n"
+        assert not out.exists()
+
 
 RESAMPLE_RUNS = {
     "restrain-inter": ["restrain", "--regime", "inter", "--size", "5"],

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -116,7 +117,6 @@ class TestKnn:
     def test_ties_across_scan_blocks_match_oracle(self, rng, monkeypatch):
         # tiny blocks force the candidate merge to span many block boundaries,
         # with exact ties landing in different blocks
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
         monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 7)
         base = rng.integers(-2, 3, size=(15, 3)).astype(np.float32)
         mat = np.vstack([base, base, base, base])
@@ -132,7 +132,6 @@ class TestKnn:
     def test_partitions_whole_block_only_until_floor_is_finite(self, rng, monkeypatch):
         # four 50-row blocks: the first raises every floor to a finite value,
         # and the later three raise it from their screen survivors alone
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
         monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 50 * 6)
         widths = []
 
@@ -155,7 +154,6 @@ class TestKnn:
     def test_whole_later_blocks_raising_the_floor(self, rng, monkeypatch):
         # training rows ascend along the queries' direction, so each later
         # 50-row block raises every floor with more than k of its columns
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
         monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 50 * 6)
         matrix = rng.normal(size=(200, 5))
         train = make_embeddings([f"t{i:03d}" for i in range(200)], matrix[np.argsort(matrix[:, 0])])
@@ -192,7 +190,6 @@ class TestKnn:
         # blocks of k rows; under cosine the first holds a row whose 1/|t|
         # overflows float32, so its error bound and every floor start at -inf
         # and the later blocks' survivor passes must keep every column
-        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
         monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 1)
         rows = [[3e-45, 0], [1, 1], [1e-42, 1e-42], [1, 0], [0, -1], [-2, 1], [1, 3]]
         train = make_embeddings([f"t{i}" for i in range(len(rows))], rows)
@@ -201,6 +198,43 @@ class TestKnn:
             got = knn_lists(test, train, k, measure="cosine")
             want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, "cosine")
             assert got == want
+
+    def test_tiny_normal_norm_keeps_its_block_bound_finite(self, rng, monkeypatch, caplog):
+        # a norm of 2^-114 is in float32's normal range: its exact 1/|t|
+        # widens the cosine bound of the first of four blocks by 8 * 2^-35
+        # only, so that block is screened like the others
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 4 * 250)
+        matrix = rng.normal(size=(1000, 8))
+        matrix[3] *= 2.0**-114 / np.linalg.norm(matrix[3])
+        train = make_embeddings([f"t{i:04d}" for i in range(1000)], matrix)
+        test = random_embeddings(rng, "q", 4, 8)
+        with caplog.at_level("INFO", logger="xtrap.simindex"):
+            got = knn_lists(test, train, 10, measure="cosine")
+        (message,) = [r.getMessage() for r in caplog.records]
+        assert float(re.search(r"\(([0-9.]+) x n_test\*k\)", message)[1]) < 1.5
+        assert got == oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, 10, "cosine")
+
+    def test_budget_alone_sizes_the_first_block(self, rng, monkeypatch):
+        # a budget of 300 rows per block over 1,500 training rows; only a
+        # wider k widens the first block
+        monkeypatch.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", 300 * 4)
+        widths = []
+
+        def counting_top_k(scores, k):
+            if scores.dtype == np.float32:
+                widths.append(scores.shape[1])
+            return _top_k(scores, k)
+
+        monkeypatch.setattr("xtrap.simindex._top_k", counting_top_k)
+        train = random_embeddings(rng, "t", 1500, 5)
+        test = random_embeddings(rng, "q", 4, 5)
+        for k in (3, 400):
+            for measure in MEASURES:
+                widths.clear()
+                got = knn_lists(test, train, k, measure=measure)
+                assert widths == [max(k, 300)]
+                want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
+                assert got == want
 
     def test_empty_test_set(self):
         train = make_embeddings(["a"], [[1, 0]])
@@ -463,8 +497,34 @@ def test_knn_screen_matches_oracle_exactly(dim, n_base, data):
         for rows in (1, 7, None):
             with pytest.MonkeyPatch.context() as mp:
                 if rows is not None:
-                    mp.setattr("xtrap.simindex._KNN_BLOCK_MIN_ROWS", 1)
                     mp.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", rows * len(test))
+                got = knn_lists(test, train, k, measure=measure)
+            assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 48), st.integers(1, 30), st.integers(1, 4), st.data())
+def test_knn_matches_oracle_on_anisotropic_embeddings(seed, dim, n_base, n_test, data):
+    # rows share a unit mean direction and spread along a 1/i spectrum, as
+    # dense retrievers' embeddings do (mean cosine about 0.64), so scores
+    # crowd a narrow band; multiples of 2^-12 and duplicated rows tie exactly
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(size=dim)
+    spread = rng.normal(size=(n_base + n_test, dim)) / np.arange(1, dim + 1)
+    rows = 0.8 * mean / np.linalg.norm(mean) + 0.6 * spread / np.linalg.norm(spread, axis=1, keepdims=True)
+    rows = np.round(rows * 2.0**12) * 2.0**-12
+    copies = data.draw(st.lists(st.integers(0, n_base - 1), max_size=n_base))
+    mat = np.vstack([rows[:n_base], rows[copies]])
+    order = data.draw(st.permutations(range(len(mat))))
+    train = make_embeddings([f"t{i:02d}" for i in order], mat)
+    test = make_embeddings([f"q{i}" for i in range(n_test)], rows[n_base:])
+    k = data.draw(st.integers(1, len(mat)))
+    for measure in MEASURES:
+        want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, k, measure)
+        for rows_per_block in (3, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if rows_per_block is not None:
+                    mp.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", rows_per_block * n_test)
                 got = knn_lists(test, train, k, measure=measure)
             assert got == want
 
