@@ -41,6 +41,8 @@ def _add_measure(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_knn(args) -> int:
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     test = dataio.read_embeddings(args.test_emb)
     train = dataio.read_embeddings(args.train_emb)
     index, scores = simindex.knn(test, train, args.k, measure=args.measure)
@@ -67,6 +69,8 @@ def _read_aligned(args) -> tuple[dataio.QuerySet, dataio.QuerySet, dataio.Embedd
 
 
 def cmd_candidates(args) -> int:
+    if args.per_channel < 1:
+        raise ValueError("per_channel must be >= 1")
     train, test, train_emb, test_emb = _read_aligned(args)
     pools = simindex.recall_candidates(
         test,

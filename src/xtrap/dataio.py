@@ -233,8 +233,7 @@ class QrelSet:
 
     def __init__(self, grades: Mapping[str, Mapping[str, int]]):
         self._grades: dict[str, dict[str, int]] = {qid: {} for qid in grades}
-        self._add((qid, docid, rel) for qid, docs in grades.items() for docid, rel in docs.items())
-        self.overwrites = 0
+        self.overwrites = self._add((qid, docid, rel) for qid, docs in grades.items() for docid, rel in docs.items())
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[str, str, int]]) -> "QrelSet":
@@ -294,10 +293,10 @@ class RunSet:
         self.tag = tag
 
     @classmethod
-    def from_records(cls, records: Iterable[tuple[str, tuple[str, float]]], tag: str | None = None) -> "RunSet":
+    def from_records(cls, records: Iterable[tuple[str, tuple[str, float]]]) -> "RunSet":
         """Group (query id, (doc id, score)) records in one pass; a repeated
         pair is a DataError at its record, raised before the next is read."""
-        run = cls({}, tag)
+        run = cls({})
         run._rankings = _rank_records(records, {})
         return run
 
@@ -354,7 +353,7 @@ class EmbeddingSet:
         if matrix.shape[0] != len(ids):
             raise DataError(f"{len(ids)} ids but {matrix.shape[0]} vectors")
         self._ids = tuple(ids)
-        self._index = _index_ids(self._ids, "embedding")
+        _index_ids(self._ids, "embedding")
         # min and max propagate nan and hold any inf, without a full-size mask
         if matrix.size and not np.isfinite([matrix.min(), matrix.max()]).all():
             bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
@@ -391,8 +390,9 @@ class EmbeddingSet:
         own order); unknown ids are an error."""
         if tuple(ids) == self._ids:
             return self
+        index = {eid: pos for pos, eid in enumerate(self._ids)}
         try:
-            positions = [self._index[eid] for eid in ids]
+            positions = [index[eid] for eid in ids]
         except KeyError as e:
             raise DataError(f"no embedding for id {e.args[0]}") from None
         return EmbeddingSet(list(ids), self._matrix[positions])
@@ -424,6 +424,8 @@ def parse_queries(path) -> QuerySet:
 def write_queries(queries: QuerySet, path) -> None:
     with atomic_output(path) as f:
         for qid, text in queries:
+            if "\n" in text or text.endswith("\r"):
+                raise DataError(f"cannot serialize the text of query {qid}: it holds a line break or ends in '\\r'")
             f.write(f"{qid}\t{text}\n")
 
 

@@ -37,7 +37,7 @@ from typing import Iterable
 
 from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
-from .dataio import _iter_lines, _located, atomic_output
+from .dataio import _index_ids, _iter_lines, _located, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run
 from .simindex import _check_measure, _check_query_sets, _rounding_bounds, knn
 
@@ -45,8 +45,8 @@ logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "pcg64"
 
-# elements per block of k-means' exact distance pass and of normalization:
-# the float64 difference block and its gathered operands stay in L2 cache
+# elements per block of k-means' exact distance pass: the float64
+# difference block and its gathered operands stay in L2 cache
 _BLOCK_ELEMENTS = 48 * 1024
 # rows per block of the assignment screen: per GEMM call, and per block of
 # its float64 per-pair temporaries; a call over fewer rows touches less of
@@ -176,6 +176,8 @@ class FoldSpec:
         missing = self._train_set.difference(all_ids)
         if missing:
             raise DataError(f"training ids missing from buckets: {sorted(missing)[:5]}")
+        if len(self._train_set) != len(self.train_ids):
+            raise DataError("duplicate ids in train_ids")
 
     @functools.cached_property
     def _train_set(self) -> frozenset[str]:
@@ -258,9 +260,8 @@ def _assign(
         rows, cols = np.nonzero(survive)
         exact = np.full(survive.shape, np.inf)
         exact[rows, cols] = _sq_distances(X, rows + lo, centroids, cols)
-        best = np.argmin(exact, axis=1)
-        assignment[block] = best
-        d2min[block] = exact[np.arange(len(best)), best]
+        assignment[block] = np.argmin(exact, axis=1)
+        d2min[block] = exact.min(axis=1)
         rescored += int(np.count_nonzero(survive.sum(axis=1) > 1))
     return assignment, d2min, rescored
 
@@ -282,8 +283,8 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             idx = int(rng.choice(n, p=d2 / total))
         else:
             # all points coincide with a chosen center; pick any unused point
-            unused = sorted(set(range(n)) - set(chosen))
-            idx = unused[int(rng.integers(len(unused)))]
+            unused = np.setdiff1d(rows, chosen)
+            idx = int(unused[rng.integers(len(unused))])
         chosen.append(idx)
         d2 = np.minimum(d2, _sq_distances(X, rows, X[idx][None].astype(np.float64), first))
     return X[chosen].astype(np.float64)
@@ -330,12 +331,8 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise DataError(f"cannot normalize zero vector for id {points.ids[zero[0]]}")
-        # divide in float64 and round to float32 block by block
-        unit = np.empty_like(X)
-        step = max(1, _BLOCK_ELEMENTS // X.shape[1])
-        for lo in range(0, n, step):
-            unit[lo : lo + step] = X[lo : lo + step] / norms[lo : lo + step, None]
-        X = unit
+        # a buffered divide: each float64 quotient is rounded into the float32 output
+        X = np.divide(X, norms[:, None], out=np.empty_like(X))
     sq_norms = np.einsum("ij,ij->i", X, X, dtype=np.float64)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -427,9 +424,7 @@ def restrain_extrapolation(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg:
     _check_query_sets(train_emb, test_emb)
     depth = min(cfg.exclude_depth, len(train_emb))
     index, _ = knn(test_emb, train_emb, depth, measure=cfg.measure)
-    excluded = np.zeros(len(train_emb), dtype=bool)
-    excluded[index] = True
-    remaining = np.flatnonzero(~excluded)
+    remaining = np.setdiff1d(np.arange(len(train_emb)), index)
     if len(remaining) < cfg.target_size:
         raise DataError(
             f"excluding top-{cfg.exclude_depth} neighborhoods leaves {len(remaining)} "
@@ -547,7 +542,7 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
 
     Header lines `#key=value` (regime first, then seed, then `#k` for
     fold manifests, then the remaining provenance keys sorted), followed
-    by one id per line under `[training]`, `[test-interpolation]`,
+    by one id per line, each a token, under `[training]`, `[test-interpolation]`,
     `[test-extrapolation]`, or `[bucket i]` sections. LF line endings.
     """
     if isinstance(spec, SplitSpec):
@@ -565,6 +560,7 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
         lines.append(f"#seed={prov.pop('seed')}")
     lines += k_header + [f"#{key}={prov[key]}" for key in sorted(prov)]
     for name, ids in [("training", training), *sections]:
+        _index_ids(ids, f"[{name}]")
         lines.append(f"[{name}]")
         lines.extend(_check_manifest_id(i) for i in ids)
     with atomic_output(path) as f:

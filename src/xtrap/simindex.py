@@ -271,9 +271,9 @@ class Bm25Index:
             t: (np.asarray(ords, dtype=np.int64), np.asarray(tfs, dtype=np.float64))
             for t, (ords, tfs) in postings.items()
         }
-        self.avgdl = float(lens.sum() / self.n)
+        avgdl = float(lens.sum() / self.n)
         # length-normalization ratio; zero-length corpus has no postings at all
-        self.len_ratio = lens / self.avgdl if self.avgdl > 0 else np.zeros_like(lens)
+        self.len_ratio = lens / avgdl if avgdl > 0 else np.zeros_like(lens)
 
 
 def bm25_search(index: Bm25Index, query_text: str, k: int) -> tuple[tuple[str, float], ...]:

@@ -172,6 +172,21 @@ class TestKnnAndCandidates:
                          "-o", str(out)]) == 0
         assert out.read_text() == "q\t1\tt2\nq\t2\tt1\n"
 
+    def test_knn_zero_k_fails_before_reading(self, tmp_path, capsys):
+        # neither input exists: the usage error comes before any read
+        out = tmp_path / "nn.tsv"
+        assert cli.main(["knn", "--test-emb", str(tmp_path / "test.missing"),
+                         "--train-emb", str(tmp_path / "train.missing"), "-k", "0", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "xtrap: error: k must be >= 1\n"
+        assert not out.exists()
+
+    def test_candidates_zero_per_channel_fails_before_reading(self, tmp_path, capsys):
+        files = {name: str(tmp_path / f"{name}.missing") for name in ("train_q", "test_q", "train_e", "test_e")}
+        out = tmp_path / "cand.tsv"
+        assert run_resample(["candidates", "--per-channel", "0"], files, out) == 1
+        assert capsys.readouterr().err == "xtrap: error: per_channel must be >= 1\n"
+        assert not out.exists()
+
 
 def restrain_inputs(tmp_path, rng, n_train=40, n_test=4, dim=4):
     train_ids = [f"t{i:02d}" for i in range(n_train)]

@@ -91,6 +91,24 @@ class TestParseQueries:
         write_queries(parse_queries(out1), out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("text", ["x\ny", "x\r\ny", "\n", "x\r"])
+    def test_unreadable_text_refused_before_writing(self, tmp_path, text):
+        # the reader would split the text over two records or drop its final "\r"
+        queries = QuerySet(["b", "a"], ["z", text])
+        with pytest.raises(DataError, match="^cannot serialize the text of query a: "):
+            write_queries(queries, tmp_path / "q.tsv")
+        assert list(tmp_path.iterdir()) == []
+        old = write_text(tmp_path, "old.tsv", "old\tcontents\n")
+        with pytest.raises(DataError):
+            write_queries(queries, old)
+        assert old.read_bytes() == b"old\tcontents\n"
+        assert list(tmp_path.iterdir()) == [old]
+
+    def test_inner_carriage_return_round_trips(self, tmp_path):
+        queries = QuerySet(["a"], ["x\ry\t z"])
+        write_queries(queries, tmp_path / "q.tsv")
+        assert parse_queries(tmp_path / "q.tsv") == queries
+
 
 class TestParseQrels:
     def test_single_record(self, tmp_path):

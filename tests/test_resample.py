@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from conftest import make_embeddings, random_embeddings
-from xtrap.dataio import DataError, QrelSet, RunSet
+from xtrap.dataio import DataError, ParseError, QrelSet, RunSet
 from xtrap.metrics import MetricSpec, score_run
 from xtrap.resample import (
     FoldSpec,
@@ -29,7 +29,7 @@ from xtrap.resample import (
     resttest_split,
     write_manifest,
 )
-from xtrap.simindex import knn
+from xtrap.simindex import MEASURES, knn
 
 
 def blob_points(rng, centers, per_blob, dim, spread=0.5, prefix="p"):
@@ -202,6 +202,42 @@ def test_kmeans_tol_stop_matches_float64_lloyd_oracle(data):
     assert got.centroids.tobytes() == want[1].tobytes()
     assert list(got.history) == want[2]
     assert got.iterations == want[3]
+
+
+def anisotropic_rows(seed, n, dim):
+    """Rows that share a unit mean direction and spread along a 1/i spectrum,
+    as dense retrievers' embeddings do (mean cosine about 0.64), in multiples
+    of 2^-12; no row is zero, since its norm is at least 0.8 - 0.6."""
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(size=dim)
+    spread = rng.normal(size=(n, dim)) / np.arange(1, dim + 1)
+    rows = 0.8 * mean / np.linalg.norm(mean) + 0.6 * spread / np.linalg.norm(spread, axis=1, keepdims=True)
+    return np.round(rows * 2.0**12) * 2.0**-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 48), st.integers(1, 30), st.data())
+def test_kmeans_matches_float64_lloyd_oracle_on_anisotropic_embeddings(seed, dim, n_base, data):
+    # the points crowd one narrow cone, so many are nearly equidistant from
+    # two centroids; duplicated rows tie exactly
+    base = anisotropic_rows(seed, n_base, dim)
+    copies = data.draw(st.lists(st.integers(0, n_base - 1), max_size=n_base))
+    rows = np.vstack([base, base[copies]])
+    points = make_embeddings([f"p{i:02d}" for i in range(len(rows))], rows)
+    k = data.draw(st.integers(1, len(rows)))
+    for normalize in (False, True):
+        cfg = KMeansConfig(k=k, seed=seed, normalize=normalize)
+        want = oracles.kmeans_lloyd(points.matrix, k, seed, normalize=normalize)
+        for block_rows in (1, 7, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if block_rows is not None:
+                    mp.setattr("xtrap.resample._SCREEN_ROWS", block_rows)
+                    mp.setattr("xtrap.resample._BLOCK_ELEMENTS", block_rows * dim)
+                got = kmeans(points, cfg)
+            assert np.array_equal(got.assignment, want[0])
+            assert got.centroids.tobytes() == want[1].tobytes()
+            assert list(got.history) == want[2]
+            assert got.iterations == want[3]
 
 
 def test_kmeans_tol_stops_before_the_fixpoint():
@@ -465,6 +501,37 @@ def test_extrapolation_remaining_ids_in_train_order(n_train, n_test, seed, data)
     assert split.training_ids == tuple(remaining[i] for i in picked.tolist())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 48), st.integers(1, 30), st.integers(1, 4), st.data())
+def test_restrain_matches_oracles_on_anisotropic_embeddings(seed, dim, n_base, n_test, data):
+    # the real knn on scores that crowd a narrow band, with exact ties
+    # between duplicated rows, against the all-pairs oracle's full lists
+    rows = anisotropic_rows(seed, n_base + n_test, dim)
+    copies = data.draw(st.lists(st.integers(0, n_base - 1), max_size=n_base))
+    mat = np.vstack([rows[:n_base], rows[copies]])
+    order = data.draw(st.permutations(range(len(mat))))
+    train = make_embeddings([f"t{i:02d}" for i in order], mat)
+    test = make_embeddings([f"q{i}" for i in range(n_test)], rows[n_base:])
+    size = data.draw(st.integers(1, len(train)))
+    depth = data.draw(st.integers(1, len(train)))
+    for measure in MEASURES:
+        pairs = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, len(train), measure)
+        neighbors = [[nid for nid, _ in lst] for _, lst in pairs]
+        cfg = ReSTrainConfig(target_size=size, exclude_depth=depth, seed=seed, measure=measure)
+        split = restrain_interpolation(train, test, cfg)
+        assert list(split.training_ids) == oracles.round_robin_union(neighbors, size)
+        excluded = {nid for lst in neighbors for nid in lst[:depth]}
+        remaining = [t for t in train.ids if t not in excluded]
+        if len(remaining) < size:
+            with pytest.raises(DataError, match=f"leaves {len(remaining)} training queries"):
+                restrain_extrapolation(train, test, cfg)
+            continue
+        split = restrain_extrapolation(train, test, cfg)
+        # the sample is drawn from the ids outside every top-E list, in train order
+        picked = np.random.Generator(np.random.PCG64(seed)).choice(len(remaining), size=size, replace=False)
+        assert split.training_ids == tuple(remaining[i] for i in picked.tolist())
+
+
 class TestSplitSpecValidation:
     def test_overlap_rejected(self):
         with pytest.raises(DataError):
@@ -489,6 +556,17 @@ def test_spec_rules_name_what_broke_them(build, message):
     with pytest.raises(DataError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_fold_training_ids_are_unique(tmp_path):
+    # a repeated training id is as malformed as an id in two buckets; a
+    # manifest that repeats one fails to read, naming the file
+    with pytest.raises(DataError, match="^duplicate ids in train_ids$"):
+        FoldSpec(k=2, buckets=(("a",), ("b",)), train_ids=("a", "a"))
+    path = tmp_path / "folds.txt"
+    path.write_text("#regime=resttest\n#k=2\n[training]\na\na\n[bucket 0]\na\n[bucket 1]\nb\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: duplicate ids in train_ids$"):
+        read_manifest(path)
 
 
 class TestResttestSplit:
@@ -714,6 +792,21 @@ class TestManifest:
         split = SplitSpec("interpolation", ("#bad",), ("q1",))
         with pytest.raises(DataError):
             write_manifest(split, tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("bad", ["a\nb", "", "a b", "a\tb", "a\r", "a\u00a0b"])
+    def test_non_token_id_rejected_before_writing(self, tmp_path, bad):
+        # the token rule of every record id: "a\nb" would read back as ("a", "b"),
+        # "a\r" as "a" and "" as no id at all
+        old = tmp_path / "m.txt"
+        old.write_bytes(b"old\n")
+        for spec in (SplitSpec("interpolation", (bad,), ("c",)), SplitSpec("extrapolation", ("c",), (bad,)),
+                     FoldSpec(2, (("c",), (bad,)), ("c",))):
+            with pytest.raises(DataError, match=f" id must be a non-empty token, got {re.escape(repr(bad))} "):
+                write_manifest(spec, old)
+            with pytest.raises(DataError):
+                write_manifest(spec, tmp_path / "new.txt")
+            assert old.read_bytes() == b"old\n"
+            assert list(tmp_path.iterdir()) == [old]
 
     def test_unknown_spec_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="^cannot serialize object$"):
