@@ -89,8 +89,7 @@ def _query_mrr(ranking, grades, spec: MetricSpec) -> float:
     return 0.0
 
 
-def _query_ndcg(ranking, grades, spec: MetricSpec) -> tuple[float, bool]:
-    """Returns (ndcg, idcg_was_zero)."""
+def _query_ndcg(ranking, grades, spec: MetricSpec) -> float:
     dcg = 0.0
     for rank, (docid, _) in enumerate(ranking[: spec.cutoff], start=1):
         rel = grades.get(docid, 0)
@@ -102,9 +101,7 @@ def _query_ndcg(ranking, grades, spec: MetricSpec) -> tuple[float, bool]:
         for rank, rel in enumerate(ideal, start=1)
         if rel > 0
     )
-    if idcg == 0.0:
-        return 0.0, True
-    return dcg / idcg, False
+    return dcg / idcg if idcg else 0.0
 
 
 def _query_recall(ranking, grades, spec: MetricSpec) -> float:
@@ -112,6 +109,9 @@ def _query_recall(ranking, grades, spec: MetricSpec) -> float:
     relevant = {d for d, rel in grades.items() if rel >= spec.rel_threshold}
     hits = sum(1 for docid, _ in ranking[: spec.cutoff] if docid in relevant)
     return hits / len(relevant)
+
+
+_QUERY_METRICS = {"mrr": _query_mrr, "ndcg": _query_ndcg, "recall": _query_recall}
 
 
 def evaluable(qrels: QrelSet, query_id: str, spec: MetricSpec) -> bool:
@@ -132,20 +132,15 @@ def score_run(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
     per_query: dict[str, float] = {}
     skipped: list[str] = []
     idcg_zero = 0
+    query_metric = _QUERY_METRICS[spec.kind]
     for qid in sorted(run.query_ids()):
         if not evaluable(qrels, qid, spec):
             skipped.append(qid)
             continue
         grades = qrels.docs(qid)
-        ranking = run.ranking(qid)
-        if spec.kind == "mrr":
-            per_query[qid] = _query_mrr(ranking, grades, spec)
-        elif spec.kind == "ndcg":
-            value, zero = _query_ndcg(ranking, grades, spec)
-            per_query[qid] = value
-            idcg_zero += zero
-        else:
-            per_query[qid] = _query_recall(ranking, grades, spec)
+        per_query[qid] = query_metric(run.ranking(qid), grades, spec)
+        # the ideal DCG is 0 exactly when no grade is positive
+        idcg_zero += spec.kind == "ndcg" and max(grades.values(), default=0) == 0
     if idcg_zero:
         logger.warning("%s: %d queries have zero ideal DCG; scored 0", spec.label, idcg_zero)
     if skipped:

@@ -33,7 +33,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
@@ -290,22 +290,16 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return X[chosen].astype(np.float64)
 
 
-def _update_centroids(
-    X: np.ndarray, assignment: np.ndarray, k: int, d2min: np.ndarray, old: np.ndarray
-) -> np.ndarray:
-    """Cluster means; empty clusters seize the point farthest from its centroid."""
-    dim = X.shape[1]
-    centroids = np.empty((k, dim), dtype=np.float64)
+def _update_centroids(X: np.ndarray, assignment: np.ndarray, k: int, d2min: np.ndarray) -> np.ndarray:
+    """Cluster means; empty clusters, lowest first, seize the points farthest from their centroids."""
+    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
     counts = np.bincount(assignment, minlength=k)
+    stealable = d2min.copy()
     for j in range(k):
         if counts[j]:
             members = np.flatnonzero(assignment == j)
             centroids[j] = X[members].sum(axis=0, dtype=np.float64) / counts[j]
         else:
-            centroids[j] = old[j]
-    if (counts == 0).any():
-        stealable = d2min.copy()
-        for j in np.flatnonzero(counts == 0):
             victim = int(np.argmax(stealable))
             centroids[j] = X[victim].astype(np.float64)
             stealable[victim] = -1.0
@@ -340,9 +334,8 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
     assignment, d2min, rescored = _assign(X, sq_norms, centroids)
     history = [float(d2min.sum())]
 
-    iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        new_centroids = _update_centroids(X, assignment, cfg.k, d2min, centroids)
+        new_centroids = _update_centroids(X, assignment, cfg.k, d2min)
         new_assignment, d2min, more = _assign(X, sq_norms, new_centroids)
         rescored += more
         inertia = float(d2min.sum())
@@ -491,24 +484,19 @@ def resttest_aggregate(
         del run
     if len(reports) != fold_spec.k:
         raise DataError(f"expected {fold_spec.k} fold runs, got {len(reports)}")
-    bucket_of = fold_spec.bucket_of
     per_query: dict[str, tuple[float, float]] = {}
     skipped: list[str] = []
     missing = 0
-    for qid in fold_spec.test_ids:
-        if not evaluable(qrels, qid, spec):
-            skipped.append(qid)
-            continue
-        extra_fold = bucket_of[qid]
-        scores = []
-        for fold in range(fold_spec.k):
-            if qid in reports[fold].per_query:
-                scores.append(reports[fold].per_query[qid])
-            else:
-                scores.append(0.0)
-                missing += 1
-        inter_folds = [scores[f] for f in range(fold_spec.k) if f != extra_fold]
-        per_query[qid] = (sum(inter_folds) / len(inter_folds), scores[extra_fold])
+    # bucket by bucket is the order of fold_spec.test_ids
+    for extra_fold in range(fold_spec.k):
+        for qid in fold_spec.fold_extrapolation_test_ids(extra_fold):
+            if not evaluable(qrels, qid, spec):
+                skipped.append(qid)
+                continue
+            scores = [report.per_query.get(qid) for report in reports]
+            missing += scores.count(None)
+            inter = [score or 0.0 for f, score in enumerate(scores) if f != extra_fold]
+            per_query[qid] = (sum(inter) / len(inter), scores[extra_fold] or 0.0)
     if missing:
         logger.warning("%d fold-query scores missing from the runs; scored 0", missing)
     if skipped:
@@ -531,10 +519,12 @@ def write_aggregate_report(report: AggregateReport, path) -> None:
         f.write(f"{report.label}\tALL\t{report.interpolation:.4f}\t{report.extrapolation:.4f}\n")
 
 
-def _check_manifest_id(eid: str) -> str:
-    if eid.startswith("#") or eid.startswith("["):
-        raise DataError(f"id {eid!r} cannot be written to a manifest (reserved prefix)")
-    return eid
+def _check_section_ids(name: str, ids: Sequence[str]) -> None:
+    """The ids of manifest section `name` are unique tokens, none starting with `#` or `[`."""
+    _index_ids(ids, f"[{name}]")
+    reserved = next((eid for eid in ids if eid.startswith(("#", "["))), None)
+    if reserved is not None:
+        raise DataError(f"id {reserved!r} cannot be written to a manifest (reserved prefix)")
 
 
 def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
@@ -547,8 +537,7 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
     """
     if isinstance(spec, SplitSpec):
         regime, k_header, training = spec.regime, [], spec.training_ids
-        section = "test-interpolation" if spec.regime == "interpolation" else "test-extrapolation"
-        sections = [(section, spec.test_ids)]
+        sections = [(f"test-{spec.regime}", spec.test_ids)]
     elif isinstance(spec, FoldSpec):
         regime, k_header, training = "resttest", [f"#k={spec.k}"], spec.train_ids
         sections = [(f"bucket {b}", bucket) for b, bucket in enumerate(spec.buckets)]
@@ -560,9 +549,9 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
         lines.append(f"#seed={prov.pop('seed')}")
     lines += k_header + [f"#{key}={prov[key]}" for key in sorted(prov)]
     for name, ids in [("training", training), *sections]:
-        _index_ids(ids, f"[{name}]")
+        _check_section_ids(name, ids)
         lines.append(f"[{name}]")
-        lines.extend(_check_manifest_id(i) for i in ids)
+        lines.extend(ids)
     with atomic_output(path) as f:
         f.write("\n".join(lines) + "\n")
 
@@ -572,7 +561,8 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
 
     Headers other than ``#regime`` and ``#k`` are free-form provenance. A
     bad ``#regime`` or ``#k`` value, or a section that the regime does not
-    define, is an error at its line.
+    define, is an error at its line. An id that `write_manifest` would
+    refuse is an error too, so every manifest read can be written back.
     """
     headers: dict[str, str] = {}
     header_lines: dict[str, int] = {}
@@ -600,7 +590,7 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
             sections[current].append(line)
     regime = headers.pop("regime", None)
     if regime in ("interpolation", "extrapolation"):
-        names = ["training", "test-interpolation" if regime == "interpolation" else "test-extrapolation"]
+        names = ["training", f"test-{regime}"]
     elif regime == "resttest":
         if "k" not in headers:
             raise ParseError(path, "missing #k header")
@@ -625,5 +615,10 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
     with _located(path):
         if regime == "resttest":
             buckets = tuple(tuple(sections[name]) for name in names[1:])
-            return FoldSpec(k=k, buckets=buckets, train_ids=tuple(sections["training"]), provenance=headers)
-        return SplitSpec(regime, tuple(sections["training"]), tuple(sections[names[1]]), provenance=headers)
+            spec = FoldSpec(k=k, buckets=buckets, train_ids=tuple(sections["training"]), provenance=headers)
+        else:
+            spec = SplitSpec(regime, tuple(sections["training"]), tuple(sections[names[1]]), provenance=headers)
+        # after the spec, so that a broken spec rule is reported as that rule
+        for name in names:
+            _check_section_ids(name, sections[name])
+    return spec

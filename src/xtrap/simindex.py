@@ -324,11 +324,8 @@ def recall_candidates(
     for (qid, text), row in zip(test, dense.tolist()):
         pool = [tr.ids[j] for j in row]
         seen = set(pool)
-        for nid, _ in bm25_search(index, text, per_channel):
-            if nid not in seen:
-                seen.add(nid)
-                pool.append(nid)
-        pools[qid] = pool
+        # bm25_search returns each doc at most once, so only the dense ids can repeat
+        pools[qid] = pool + [nid for nid, _ in bm25_search(index, text, per_channel) if nid not in seen]
     return pools
 
 

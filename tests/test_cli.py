@@ -449,6 +449,22 @@ def test_manifest_rule_errors_name_the_manifest(tmp_path, rng, capsys, name):
     assert capsys.readouterr().err == f"xtrap: data error: {manifest}: {message}\n"
 
 
+# manifests with an id that `write_manifest` refuses to write: the reader
+# refuses them too, as it refuses a broken spec rule
+UNWRITABLE_ID_MANIFESTS = {
+    "unwritable-bucket-id": ("aggregate", "#regime=resttest\n#k=2\n[training]\n[bucket 0]\nq0\n[bucket 1]\nq 1\n",
+                             "[bucket 1] id must be a non-empty token, got 'q 1' (record 0)"),
+    "unwritable-training-id": ("pca", "#regime=interpolation\n#seed=1\n[training]\n[x\n[test-interpolation]\nq1\n",
+                               "id '[x' cannot be written to a manifest (reserved prefix)"),
+}
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_ID_MANIFESTS)
+def test_manifest_id_errors_name_the_manifest(tmp_path, rng, capsys, monkeypatch, name):
+    monkeypatch.setitem(SPEC_RULE_BREAKS, name, UNWRITABLE_ID_MANIFESTS[name])
+    test_manifest_rule_errors_name_the_manifest(tmp_path, rng, capsys, name)
+
+
 def test_aggregate_names_the_regime_of_a_split_manifest(tmp_path, capsys):
     manifest = write(tmp_path / "m.txt", "#regime=interpolation\n[training]\nt1\n[test-interpolation]\nq1\n")
     qrels = write(tmp_path / "qrels.txt", "q1 0 d1 1\n")

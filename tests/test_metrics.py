@@ -97,6 +97,20 @@ class TestNdcg:
         assert report.evaluated_count == 1
         assert any("zero ideal DCG" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("kind", ["mrr", "ndcg", "recall"])
+    def test_zero_ideal_dcg_counted_from_the_grades(self, caplog, kind):
+        # q2 grades only 0, q3 is judged with no docs at all
+        qrels = QrelSet({"q1": {"d1": 1}, "q2": {"d1": 0, "d2": 0}, "q3": {}, "q4": {"d2": 2}})
+        run = RunSet({q: [("d1", 2.0), ("d2", 1.0)] for q in ("q1", "q2", "q3", "q4")})
+        with caplog.at_level("WARNING"):
+            report = score_run(run, qrels, MetricSpec(kind))
+        messages = [r.getMessage() for r in caplog.records]
+        if kind == "ndcg":
+            assert messages == ["ndcg@10: 2 queries have zero ideal DCG; scored 0"]
+            assert report.per_query["q2"] == report.per_query["q3"] == 0.0
+        else:
+            assert not any("zero ideal DCG" in m for m in messages)
+
 
 class TestRecall:
     def test_all_inside_cutoff(self):

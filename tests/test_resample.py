@@ -103,9 +103,21 @@ class TestKMeans:
         X = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], dtype=np.float32)
         assignment = np.array([0, 0, 0])
         d2min = np.array([0.25, 0.25, 90.25])
-        old = np.array([[0.5, 0.0], [99.0, 99.0]])
-        centroids = _update_centroids(X, assignment, 2, d2min, old)
+        centroids = _update_centroids(X, assignment, 2, d2min)
         np.testing.assert_allclose(centroids[1], [10.0, 0.0])
+
+    @pytest.mark.parametrize("d2min, seized", [
+        ([0.5, 3.0, 1.0, 3.0, 0.25], [1, 3]),  # a tie: the lower row first
+        ([0.5, 2.0, 1.0, 3.0, 0.25], [3, 1]),
+    ])
+    def test_empty_clusters_seize_farthest_rows_in_order(self, d2min, seized):
+        X = np.array([[1.0, 2.0], [3.0, -1.0], [0.1, 0.2], [7.0, 5.0], [0.3, 0.7]], dtype=np.float32)
+        assignment = np.array([0, 0, 2, 2, 0])
+        centroids = _update_centroids(X, assignment, 4, np.array(d2min))
+        for j, members in ((0, [0, 1, 4]), (2, [2, 3])):
+            assert centroids[j].tobytes() == (X[members].sum(axis=0, dtype=np.float64) / len(members)).tobytes()
+        # clusters 1 and 3 are empty: 1 takes the farthest row, 3 the next
+        assert centroids[[1, 3]].tobytes() == X[seized].astype(np.float64).tobytes()
 
     def test_duplicate_points_with_large_k(self):
         mat = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5, dtype=np.float32)
@@ -725,6 +737,14 @@ class TestResttestAggregate:
         assert report.per_query["q2"] == (0.0, 1.0)
         assert any("missing" in r.message for r in caplog.records)
 
+    def test_counts_every_missing_fold_score(self, caplog):
+        folds = self.fold_spec([("q1",), ("q2",), ("q3",)])
+        runs = [recall_run({"q1": 5, "q2": 5}), recall_run({"q3": 5}), recall_run({"q1": 5, "q2": 5, "q3": 5})]
+        with caplog.at_level("WARNING"):
+            report = resttest_aggregate(runs, folds, recall_qrels(["q1", "q2", "q3"]), MetricSpec("recall"))
+        assert [r.getMessage() for r in caplog.records] == ["3 fold-query scores missing from the runs; scored 0"]
+        assert report.per_query == {"q1": (0.5, 1.0), "q2": (1.0, 0.0), "q3": (0.5, 1.0)}
+
     def test_query_without_judgments_skipped(self):
         folds = self.fold_spec([("q1", "qX"), ("q2",)])
         runs = [recall_run({"q1": 5, "q2": 5}), recall_run({"q1": 5, "q2": 5})]
@@ -869,3 +889,62 @@ class TestManifest:
         with pytest.raises(ParseError) as exc:
             read_manifest(path)
         assert str(exc.value) == f"{path}{where}: {message}"
+
+
+# manifests whose ids `write_manifest` refuses, as (text, message); each
+# whitespace kind once in a training, a test and a bucket section
+UNWRITABLE_MANIFESTS = {
+    f"{section}-U+{ord(ws):04X}": case
+    for ws in [" ", "\t", "\x0b", "\x85", "\xa0"]
+    for section, case in [
+        ("training", (f"#regime=extrapolation\n[training]\nt0\nt{ws}1\n[test-extrapolation]\nq1\n",
+                      f"[training] id must be a non-empty token, got {f't{ws}1'!r} (record 1)")),
+        ("test", (f"#regime=interpolation\n[training]\nt1\n[test-interpolation]\nq{ws}1\n",
+                  f"[test-interpolation] id must be a non-empty token, got {f'q{ws}1'!r} (record 0)")),
+        ("bucket", (f"#regime=resttest\n#k=2\n[training]\nt1\n[bucket 0]\nt1\n[bucket 1]\nq{ws}1\n",
+                    f"[bucket 1] id must be a non-empty token, got {f'q{ws}1'!r} (record 0)")),
+    ]
+}
+UNWRITABLE_MANIFESTS["reserved-prefix"] = (
+    "#regime=interpolation\n[training]\n[x\n[test-interpolation]\nq1\n",
+    "id '[x' cannot be written to a manifest (reserved prefix)",
+)
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_MANIFESTS)
+def test_read_manifest_refuses_what_write_manifest_refuses(tmp_path, name):
+    text, message = UNWRITABLE_MANIFESTS[name]
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(ParseError) as exc:
+        read_manifest(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+# id lines that probe every line kind the reader tells apart
+_ID_LINE = st.text(st.sampled_from(["a", "b", " ", "\t", "\x0b", "\x85", "\xa0", "\r", "#", "=", "[", "]"]),
+                   max_size=4) | st.sampled_from(["[training]", "[bucket 0]", "[bucket 1]", "[test-interpolation]"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["interpolation", "extrapolation", "resttest"]), st.lists(_ID_LINE, max_size=4),
+       st.lists(_ID_LINE, max_size=4), st.lists(_ID_LINE, max_size=4))
+def test_every_manifest_read_writes_back(tmp_path_factory, regime, training, first, second):
+    # a canonical layout with arbitrary id lines: the reader either refuses
+    # the file or returns a spec that writes and reads back equal
+    if regime == "resttest":
+        sections = [("training", training), ("bucket 0", training + first), ("bucket 1", second)]
+        headers = ["#regime=resttest", "#k=2"]
+    else:
+        sections = [("training", training), (f"test-{regime}", first + second)]
+        headers = [f"#regime={regime}"]
+    lines = headers + [line for name, ids in sections for line in [f"[{name}]", *ids]]
+    tmp = tmp_path_factory.mktemp("roundtrip")
+    path = tmp / "m.txt"
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    try:
+        spec = read_manifest(path)
+    except ParseError:
+        return
+    write_manifest(spec, tmp / "back.txt")
+    assert read_manifest(tmp / "back.txt") == spec

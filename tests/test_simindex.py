@@ -413,6 +413,20 @@ class TestRecallCandidates:
             assert set(pools[qid]) == set(dense[qid]) | set(lexical)
             assert pools[qid][: len(dense[qid])] == dense[qid]
 
+    def test_pool_is_dense_list_then_new_bm25_ids_in_bm25_order(self, rng):
+        train_ids = [f"t{i:02d}" for i in range(30)]
+        vocab = ["sun", "moon", "star", "rain", "wind", "snow"]
+        train = make_queries(train_ids, [" ".join(rng.choice(vocab, size=3).tolist()) for _ in train_ids])
+        test = make_queries([f"q{i}" for i in range(6)], [" ".join(rng.choice(vocab, size=2).tolist()) for _ in range(6)])
+        train_emb = make_embeddings(train_ids, rng.normal(size=(30, 6)))
+        test_emb = make_embeddings(test.ids, rng.normal(size=(6, 6)))
+        pools = recall_candidates(test, train, test_emb, train_emb, per_channel=5)
+        index = Bm25Index(train)
+        for qid, dense in knn_lists(test_emb, train_emb, 5):
+            dense = [nid for nid, _ in dense]
+            lexical = [nid for nid, _ in bm25_search(index, test.text(qid), 5)]
+            assert pools[qid] == dense + [nid for nid in lexical if nid not in dense]
+
     def test_missing_embedding_names_id(self, rng):
         train = make_queries(["t1"], ["a"])
         test = make_queries(["q1"], ["a"])
