@@ -47,7 +47,7 @@ def cmd_knn(args) -> int:
     train = dataio.read_embeddings(args.train_emb)
     index, scores = simindex.knn(test, train, args.k, measure=args.measure)
     simindex.write_neighbor_lists(test.ids, train.ids, index, scores, args.output)
-    print(f"wrote top-{args.k} neighbors for {len(test)} queries to {args.output}")
+    print(f"wrote top-{index.shape[1]} neighbors for {len(test)} queries to {args.output}")
     return EXIT_OK
 
 

@@ -39,15 +39,12 @@ from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
 from .dataio import _index_ids, _iter_lines, _located, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run
-from .simindex import _check_measure, _check_query_sets, _rounding_bounds, knn
+from .simindex import _BLOCK_ELEMENTS, _check_measure, _check_query_sets, _rounding_bounds, knn
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "pcg64"
 
-# elements per block of k-means' exact distance pass: the float64
-# difference block and its gathered operands stay in L2 cache
-_BLOCK_ELEMENTS = 48 * 1024
 # rows per block of the assignment screen: per GEMM call, and per block of
 # its float64 per-pair temporaries; a call over fewer rows touches less of
 # OpenBLAS's work buffers (about 60 MiB of RSS for one call over 200k x 768)

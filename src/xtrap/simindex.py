@@ -13,11 +13,11 @@ screen survivors alone, because a column below the screen cannot raise it.
 Survivors are located as flat indices of the block, split into rows and
 columns by `divmod`, which is far cheaper than a 2-D `np.nonzero` and gives
 the same row-major order. Only the survivors are rescored in float64, one
-dot product per pair, and ties are broken by ascending neighbor id. Every
-score is therefore the float64 dot product of the two vectors (of the unit
-vectors for cosine), whatever the block size or the order of the training
-rows; a float64 GEMM cannot promise that, because BLAS rounds an entry of
-`Q @ T[cols].T` differently from the same entry of `Q @ T.T`.
+dot product per pair over row blocks of pairs, and one `lexsort` ranks them,
+ties by ascending neighbor id. Every score is the float64 dot product of the
+two vectors (of the unit vectors for cosine), whatever the block sizes or
+the order of the training rows; a float64 GEMM cannot promise that, because
+BLAS rounds an entry of `Q @ T[cols].T` differently from that of `Q @ T.T`.
 The lexical channel is a small in-memory inverted index over the training
 query texts, scored by BM25 at the textbook k1=1.2, b=0.75. Both channels
 select their top k with one primitive, `_top_k`.
@@ -40,6 +40,9 @@ MEASURES = ("inner_product", "cosine")
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
 
+# float64 elements per row block of both exact passes, kNN's rescoring and
+# k-means' distances: a block's operands stay in L2 cache; no result depends on it
+_BLOCK_ELEMENTS = 48 * 1024
 # float32 score elements per kNN block for any n_test (a block is at least k
 # rows): its scores and _top_k's partition copy take 8 bytes each (256 MiB)
 _KNN_BLOCK_ELEMENTS = 32 * 1024 * 1024
@@ -218,30 +221,28 @@ def knn(
         found_high.append(scores.reshape(-1)[flat] + err[rows])
         del scores  # before the next GEMM allocates its block
 
-    # prune once more against the final floor, then group by test query
+    # prune once more against the final floor
     rows = np.concatenate(found_rows)
     keep = np.concatenate(found_high) >= floor[rows]
     rows = rows[keep]
     cols = np.concatenate(found_cols)[keep]
-    by_row = np.argsort(rows, kind="stable")
-    groups = np.split(cols[by_row], np.cumsum(np.bincount(rows, minlength=n_test))[:-1])
     logger.info(
         "knn: %d pairs screened in float32, %d survivors rescored in float64 (%.3f x n_test*k)",
         n_test * n_train, rows.size, rows.size / max(1, n_test * k),
     )
-
-    index = np.empty((n_test, k), dtype=np.intp)
-    top_scores = np.empty((n_test, k))
-    for i, (query, cand) in enumerate(zip(queries, groups)):
-        vecs = train.matrix[cand].astype(np.float64)
+    exact = np.empty(rows.size)
+    step = max(1, _BLOCK_ELEMENTS // dim)
+    for lo in range(0, rows.size, step):
+        pairs = slice(lo, lo + step)
+        vecs = train.matrix[cols[pairs]].astype(np.float64)
         if cosine:
             vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
         # one dot product per pair: a gemv rounds a row by its batch position
-        exact = np.vecdot(vecs, query)
-        top = np.lexsort((train.id_rank[cand], -exact))[:k]
-        index[i] = cand[top]
-        top_scores[i] = exact[top]
-    return index, top_scores
+        exact[pairs] = np.vecdot(vecs, queries[rows[pairs]])
+    # by query, score descending, then ascending id; a query keeps >= k survivors
+    counts = np.bincount(rows, minlength=n_test)
+    top = np.lexsort((train.id_rank[cols], -exact, rows))[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return cols[top], exact[top]
 
 
 def tokenize(text: str) -> list[str]:

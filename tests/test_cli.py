@@ -153,6 +153,15 @@ class TestKnnAndCandidates:
                          "-o", str(out)]) == 0
         assert out.read_text() == "q\t1\ta\t1\nq\t2\tb\t0\n"
 
+    def test_knn_reports_the_depth_it_wrote(self, tmp_path, capsys):
+        # k above the training size is capped at it, with a warning
+        train = emb_file(tmp_path, "train.evec", ["a", "b"], [[1, 0], [0, 1]])
+        test = emb_file(tmp_path, "test.evec", ["q"], [[1, 0]])
+        out = tmp_path / "nn.tsv"
+        assert cli.main(["knn", "--test-emb", test, "--train-emb", train, "-k", "5", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote top-2 neighbors for 1 queries to {out}\n"
+        assert out.read_text() == "q\t1\ta\t1\nq\t2\tb\t0\n"
+
     def test_knn_tsv_embeddings_sniffed(self, tmp_path):
         train = write(tmp_path / "train.tsv", "a\t1 0\nb\t0 1\n")
         test = write(tmp_path / "test.tsv", "q\t1 0\n")

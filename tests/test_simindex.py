@@ -243,6 +243,15 @@ class TestKnn:
             index, scores = knn(test, train, 1, measure=measure)
             assert index.shape == scores.shape == (0, 1)
 
+    def test_zero_test_rows_give_typed_empty_arrays(self):
+        train = make_embeddings(["a", "b", "c"], [[1, 0], [0, 1], [1, 1]])
+        test = make_embeddings([], np.zeros((0, 2)))
+        for k in (1, 3):
+            for measure in MEASURES:
+                index, scores = knn(test, train, k, measure=measure)
+                assert index.shape == scores.shape == (0, k)
+                assert index.dtype == np.intp and scores.dtype == np.float64
+
     def test_memory_is_bounded(self, rng, monkeypatch):
         # four blocks of 10k training rows; a float64 score block and its
         # partition copy alone would take 4 float32 blocks
@@ -541,6 +550,68 @@ def test_knn_matches_oracle_on_anisotropic_embeddings(seed, dim, n_base, n_test,
                     mp.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", rows_per_block * n_test)
                 got = knn_lists(test, train, k, measure=measure)
             assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(1, 5), st.data())
+def test_knn_bitwise_for_any_block_size(dim, n_train, n_test, data):
+    # integer components tie exactly, within a rescoring block and across
+    # the boundary of one; blocks of one and five pairs, and scan blocks k wide
+    small = st.integers(-2, 2)
+    train_mat = data.draw(arrays(np.int8, (n_train, dim), elements=small)).astype(np.float32)
+    test_mat = data.draw(arrays(np.int8, (n_test, dim), elements=small)).astype(np.float32)
+    for mat in (train_mat, test_mat):
+        mat[~mat.any(axis=1), 0] = 1  # cosine needs nonzero vectors
+    order = data.draw(st.permutations(range(n_train)))
+    train = make_embeddings([f"t{i:02d}" for i in order], train_mat)
+    test = make_embeddings([f"q{i}" for i in range(n_test)], test_mat)
+    k = data.draw(st.integers(1, n_train))
+    for measure in MEASURES:
+        results = set()
+        for rescore in (dim, 5 * dim, None):
+            for scan in (k * n_test, None):
+                with pytest.MonkeyPatch.context() as mp:
+                    if rescore is not None:
+                        mp.setattr("xtrap.simindex._BLOCK_ELEMENTS", rescore)
+                    if scan is not None:
+                        mp.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", scan)
+                    index, scores = knn(test, train, k, measure=measure)
+                results.add((index.tobytes(), scores.tobytes()))
+        assert len(results) == 1
+
+
+_BLAS_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from xtrap.dataio import EmbeddingSet
+from xtrap.simindex import MEASURES, knn
+
+rng = np.random.default_rng(7)
+train = EmbeddingSet([f"t{i}" for i in range(3000)], rng.integers(-3, 4, size=(3000, 96)).astype(np.float32))
+test = EmbeddingSet([f"q{i}" for i in range(200)], rng.integers(-3, 4, size=(200, 96)).astype(np.float32))
+for measure in MEASURES:
+    index, scores = knn(test, train, 50, measure=measure)
+    print(measure, hashlib.sha256(index.tobytes()).hexdigest(), hashlib.sha256(scores.tobytes()).hexdigest())
+"""
+
+
+def test_knn_bitwise_for_any_blas_thread_count():
+    # the float32 screen's GEMM is threaded, so its rounding follows the
+    # thread count; the certified bound and the exact rescoring must not
+    # (OpenBLAS runs a float64 dot product of up to 10,000 elements on one thread)
+    env = dict(os.environ)
+    src = str(Path(xtrap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", None):
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == len(MEASURES)
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=200, deadline=None)
