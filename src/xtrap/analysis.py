@@ -257,8 +257,10 @@ def _pca(points: EmbeddingSet, out_dims: int) -> tuple[np.ndarray, np.ndarray, t
     n, dim = len(points), points.dim
     if n < 2:
         raise DataError("PCA needs at least 2 points")
-    if out_dims < 1 or out_dims > dim:
-        raise DataError(f"out_dims must be in [1, {dim}], got {out_dims}")
+    if out_dims < 1:
+        raise DataError(f"out_dims must be positive, got {out_dims}")
+    if out_dims > dim:
+        raise DataError(f"a {out_dims}-D projection needs vectors of at least {out_dims} dimensions, got {dim}")
     # column mean, then sample covariance (divisor n-1), in float64, chunked
     total = np.zeros(dim, dtype=np.float64)
     for block in _row_chunks(points.matrix):

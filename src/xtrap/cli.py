@@ -220,7 +220,8 @@ def cmd_kappa(args) -> int:
 
 def cmd_pca(args) -> int:
     emb = dataio.read_embeddings(args.emb)
-    coords = analysis.pca_project(emb, out_dims=2)
+    with dataio._located(args.emb):
+        coords = analysis.pca_project(emb, out_dims=2)
     groups: dict[str, str] | None = None
     if args.manifest:
         spec = resample.read_manifest(args.manifest)

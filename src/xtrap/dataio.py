@@ -18,7 +18,9 @@ All readers accept LF and CRLF line endings; writers emit LF only and go
 through :func:`atomic_output`, so an output file is either fully written or
 left as it was. Every parsed container is immutable after construction and
 safe to share across threads. Text files are read in blocks of about 1 MiB
-of whole lines, split on ``\\n`` only.
+of whole lines, split on ``\\n`` only; one leading UTF-8 byte-order mark is
+dropped, so the query, qrels and run writers refuse a first id that starts
+with U+FEFF.
 
 Readers check syntax (field counts, numbers, UTF-8, the EVEC layout); the
 containers check the record rules:
@@ -37,6 +39,7 @@ non-finite score field itself, so that the message quotes the field.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import functools
 import itertools
@@ -158,13 +161,16 @@ _BLANK = ("", "\r")
 def _iter_blocks(path, f: IO[bytes] | None = None) -> Iterator[tuple[int, list[str]]]:
     """Yield (1-based number of the first line, lines) over blocks of whole lines.
 
-    Lines are split on ``\\n`` only and keep a trailing ``\\r``. Invalid UTF-8
+    Lines are split on ``\\n`` only and keep a trailing ``\\r``. One leading
+    byte-order mark is dropped, as by the ``utf-8-sig`` codec. Invalid UTF-8
     raises ParseError at its line, after the lines before it were yielded.
     `f` is `path` already open: a pipe can be opened and read only once.
     """
     with open(path, "rb") if f is None else contextlib.nullcontext(f) as f:
         first = 1
         while block := f.read(_BLOCK_BYTES) + f.readline():
+            if first == 1:
+                block = block.removeprefix(codecs.BOM_UTF8)
             try:
                 text, bad = block.decode("utf-8"), b""
             except UnicodeDecodeError as e:
@@ -421,7 +427,16 @@ def parse_queries(path) -> QuerySet:
         return QuerySet(ids, texts)
 
 
+def _check_first_id(ids: Iterable[str]) -> None:
+    """Refuse a file's first id if it starts with U+FEFF: it would read back
+    without it, as readers drop a leading byte-order mark."""
+    first = next(iter(ids), "")
+    if first.startswith("\ufeff"):
+        raise DataError(f"cannot serialize {first!r} as the first id: it starts with a byte-order mark")
+
+
 def write_queries(queries: QuerySet, path) -> None:
+    _check_first_id(queries.ids)
     with atomic_output(path) as f:
         for qid, text in queries:
             if "\n" in text or text.endswith("\r"):
@@ -471,6 +486,7 @@ def _check_pairs_serializable(qid: str, docids: Sequence[str]) -> None:
 
 
 def write_qrels(qrels: QrelSet, path) -> None:
+    _check_first_id(qid for qid in qrels.query_ids() if qrels.docs(qid))
     with atomic_output(path) as f:
         for qid in qrels.query_ids():
             docs = qrels.docs(qid)
@@ -545,6 +561,7 @@ def write_run(run: RunSet, path, tag: str | None = None) -> None:
     tag = tag or run.tag or "xtrap"
     if _bad_id(tag):
         raise DataError(f"run tag must be a whitespace-free token, got {tag!r}")
+    _check_first_id(qid for qid in run.query_ids() if run.ranking(qid))
     with atomic_output(path) as f:
         for qid in run.query_ids():
             ranking = run.ranking(qid)

@@ -266,15 +266,16 @@ def _assign(
 def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seed centroids with the k-means++ scheme (D^2 sampling).
 
-    The sampling reads every bit of `d2`, so each step is an exact pass
-    over all rows.
+    The sampling reads every bit of `d2`, so each draw after the first
+    costs one exact pass over all rows: k seeds take k-1 passes.
     """
     n = X.shape[0]
     rows = np.arange(n)
     first = np.zeros(n, dtype=np.intp)
     chosen = [int(rng.integers(n))]
-    d2 = _sq_distances(X, rows, X[chosen[-1]][None].astype(np.float64), first)
+    d2 = np.full(n, np.inf)
     for _ in range(1, k):
+        d2 = np.minimum(d2, _sq_distances(X, rows, X[chosen[-1]][None].astype(np.float64), first))
         total = d2.sum()
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
@@ -283,7 +284,6 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             unused = np.setdiff1d(rows, chosen)
             idx = int(unused[rng.integers(len(unused))])
         chosen.append(idx)
-        d2 = np.minimum(d2, _sq_distances(X, rows, X[idx][None].astype(np.float64), first))
     return X[chosen].astype(np.float64)
 
 

@@ -143,6 +143,21 @@ class TestEval:
         assert cli.main(["eval", "--run", run, "--qrels", qrels, "--metric", "ndcg@10",
                          "--gain", "exponential", "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("marked", ["run", "qrels"])
+    def test_byte_order_mark_before_the_first_line_is_not_an_id(self, tmp_path, capsys, marked):
+        texts = {"run": "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq2 Q0 d1 1 1.0 t\n", "qrels": "q1 0 d1 1\nq2 0 d1 1\n"}
+        plain = {name: write(tmp_path / f"{name}.txt", text) for name, text in texts.items()}
+        files = {**plain, marked: write(tmp_path / f"{marked}.bom.txt", "\ufeff" + texts[marked])}
+        reports = []
+        for name, paths in (("plain", plain), ("marked", files)):
+            out = tmp_path / f"{name}.tsv"
+            assert cli.main(["eval", "--run", paths["run"], "--qrels", paths["qrels"], "--metric", "mrr@10",
+                             "-o", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[1] == reports[0]
+        assert reports[0].endswith("mrr@10\tALL\t1.0000\n")
+        assert capsys.readouterr().out.count("mrr@10 mean over 2 queries: 1.0000") == 2
+
 
 class TestKnnAndCandidates:
     def test_knn_tsv(self, tmp_path, capsys):
@@ -627,6 +642,17 @@ class TestPcaCli:
         assert cli.main(["pca", "--emb", emb, "--manifest", manifest, "-o", str(out)]) == 0
         groups = {row.split("\t")[0]: row.split("\t")[3] for row in out.read_text().splitlines()}
         assert groups == {"t1": "train-inter", "t2": "none", "q1": "test"}
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1.0], [2.0], [4.0]], "a 2-D projection needs vectors of at least 2 dimensions, got 1"),
+        ([[1.0, 2.0]], "PCA needs at least 2 points"),
+    ])
+    def test_too_little_data_is_reported_at_the_file(self, tmp_path, capsys, matrix, message):
+        emb = emb_file(tmp_path, "e.evec", [f"p{i}" for i in range(len(matrix))], matrix)
+        out = tmp_path / "pca.tsv"
+        assert cli.main(["pca", "--emb", emb, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"xtrap: data error: {emb}: {message}\n"
+        assert not out.exists()
 
     def test_huge_evec_count_is_data_error(self, tmp_path, capsys):
         emb = tmp_path / "huge.evec"

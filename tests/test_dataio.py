@@ -1,6 +1,7 @@
 import ast
 import logging
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -36,6 +37,8 @@ from xtrap.dataio import (
 )
 
 from conftest import make_embeddings, make_queries
+from xtrap.analysis import read_labels, read_pairs
+from xtrap.resample import read_manifest
 
 
 def write_text(tmp_path, name, content):
@@ -559,6 +562,57 @@ class TestIdTokenRule:
             write_run(RunSet({"q1": [("d 1", 1.0)]}), tmp_path / "r.txt")
         with pytest.raises(DataError):
             write_run(RunSet({"q1": [("d1", 1.0)]}), tmp_path / "r.txt", tag="bad tag")
+
+
+# every text reader, with a file that it reads
+TEXT_READERS = [
+    (parse_queries, "q1\tx\nq2\ty\n"),
+    (parse_qrels, "q1 0 d1 1\nq2 0 d1 1\n"),
+    (parse_run, "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq2 Q0 d1 1 1.0 t\n"),
+    (read_embeddings, "a\t1 2\nb\t3 4\n"),
+    (read_manifest, "#regime=interpolation\n#seed=1\n[training]\nt1\n[test-interpolation]\nq1\n"),
+    (read_pairs, "a\t1\t2\nb\t2\t1\n"),
+    (read_labels, "i1\tx\ni2\ty\n"),
+]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("reader,text", TEXT_READERS, ids=lambda v: getattr(v, "__name__", None))
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_readers_drop_a_leading_mark(self, tmp_path, reader, text, ending):
+        text = text.replace("\n", ending)
+        plain = write_text(tmp_path, "plain.txt", text)
+        marked = write_text(tmp_path, "marked.txt", "\ufeff" + text)
+        assert reader(marked) == reader(plain)
+
+    def test_only_the_first_mark_of_the_file_is_dropped(self, tmp_path):
+        path = write_text(tmp_path, "q.tsv", "\ufeff\ufeffa\tx\n\ufeffb\ty\n")
+        # one-byte blocks: the second line starts a block of its own
+        with mock.patch.object(dataio, "_BLOCK_BYTES", 1):
+            assert parse_queries(path).ids == ("\ufeffa", "\ufeffb")
+        assert len(parse_queries(write_text(tmp_path, "empty.tsv", "\ufeff"))) == 0
+
+    def test_writers_refuse_a_first_id_that_starts_with_a_mark(self, tmp_path):
+        marked = "\ufeffq"
+        for writer, container in (
+            (write_queries, make_queries([marked, "r"])),
+            (write_qrels, QrelSet({"e": {}, marked: {"d": 1}})),
+            (write_run, RunSet({"e": [], marked: [("d", 1.0)]})),
+        ):
+            out = write_text(tmp_path, "out.txt", "old contents\n")
+            with pytest.raises(DataError, match=re.escape(f"cannot serialize {marked!r} as the first id")):
+                writer(container, out)
+            assert out.read_bytes() == b"old contents\n"
+
+    def test_a_mark_after_the_first_line_round_trips(self, tmp_path):
+        queries = make_queries(["q", "\ufeffr"])
+        write_queries(queries, tmp_path / "q.tsv")
+        assert parse_queries(tmp_path / "q.tsv") == queries
+        # a first query without records writes no line
+        write_qrels(QrelSet({"\ufeffe": {}, "q": {"d": 1}, "\ufeffr": {"d": 2}}), tmp_path / "qrels.txt")
+        assert parse_qrels(tmp_path / "qrels.txt") == QrelSet({"q": {"d": 1}, "\ufeffr": {"d": 2}})
+        write_run(RunSet({"\ufeffe": [], "q": [("d", 1.0)], "\ufeffr": [("d", 2.0)]}), tmp_path / "r.txt")
+        assert parse_run(tmp_path / "r.txt") == RunSet({"q": [("d", 1.0)], "\ufeffr": [("d", 2.0)]})
 
 
 # line 2 of each file breaks one record rule, which its container checks

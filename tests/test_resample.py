@@ -20,6 +20,8 @@ from xtrap.resample import (
     KMeansConfig,
     ReSTrainConfig,
     SplitSpec,
+    _kmeanspp_init,
+    _sq_distances,
     _update_centroids,
     kmeans,
     read_manifest,
@@ -98,6 +100,14 @@ class TestKMeans:
         zero = make_embeddings(["a", "b"], [[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DataError):
             kmeans(zero, KMeansConfig(k=2, normalize=True))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_seeding_makes_one_exact_pass_per_draw_after_the_first(self, rng, k):
+        X = rng.normal(size=(40, 3)).astype(np.float32)
+        with mock.patch("xtrap.resample._sq_distances", wraps=_sq_distances) as passes:
+            _kmeanspp_init(X, k, np.random.Generator(np.random.PCG64(1)))
+        assert passes.call_count == k - 1
+        assert all(len(call.args[1]) == len(X) for call in passes.call_args_list)
 
     def test_empty_cluster_repair_seizes_farthest(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], dtype=np.float32)
