@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .dataio import QrelSet, RunSet, atomic_output
+from .dataio import DataError, QrelSet, RunSet, atomic_output
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +79,9 @@ class MetricReport:
 
 
 def _gain(rel: int, gain: str) -> float:
+    """The gain of a positive grade; OverflowError past a float64."""
+    if gain == "exponential" and rel >= 1024:
+        raise OverflowError  # 2**rel - 1 rounds to at least 2.0**1024: skip the int
     return float(rel) if gain == "linear" else float(2**rel - 1)
 
 
@@ -101,6 +104,8 @@ def _query_ndcg(ranking, grades, spec: MetricSpec) -> float:
         for rank, rel in enumerate(ideal, start=1)
         if rel > 0
     )
+    if math.isinf(idcg):
+        raise OverflowError
     return dcg / idcg if idcg else 0.0
 
 
@@ -138,7 +143,13 @@ def score_run(run: RunSet, qrels: QrelSet, spec: MetricSpec) -> MetricReport:
             skipped.append(qid)
             continue
         grades = qrels.docs(qid)
-        per_query[qid] = query_metric(run.ranking(qid), grades, spec)
+        try:
+            per_query[qid] = query_metric(run.ranking(qid), grades, spec)
+        except OverflowError:
+            raise DataError(
+                f"{spec.label}: query {qid}: the {spec.gain} gains of grades up to "
+                f"{max(grades.values())} overflow a float64"
+            ) from None
         # the ideal DCG is 0 exactly when no grade is positive
         idcg_zero += spec.kind == "ndcg" and max(grades.values(), default=0) == 0
     if idcg_zero:

@@ -73,6 +73,8 @@ class KMeansConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol >= 0:
@@ -102,6 +104,8 @@ class ReSTrainConfig:
             raise ValueError("target_size must be >= 1")
         if self.exclude_depth < 1:
             raise ValueError("exclude_depth must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         _check_measure(self.measure)
 
     def provenance(self) -> dict[str, str]:

@@ -7,9 +7,9 @@ against the stored float32 matrix. A column survives when its float32
 score lies within a certified rounding bound (Higham's inner-product
 bound for the float32 and the float64 dot product) of a lower bound on
 the k-th best float64 score, so no column of the exact top k is dropped.
-That lower bound, the floor, starts from a `_top_k` over the first block,
-which is at least k columns wide; every later block raises it from its
-screen survivors alone, because a column below the screen cannot raise it.
+That lower bound, the floor, starts from the first block's k largest lower
+bounds, which `_top_k` returns as values (the block is at least k wide); each
+later block raises it from its screen survivors alone, as no other can.
 Survivors are located as flat indices of the block, split into rows and
 columns by `divmod`, which is far cheaper than a 2-D `np.nonzero` and gives
 the same row-major order. Only the survivors are rescored in float64, one
@@ -20,7 +20,7 @@ the order of the training rows; a float64 GEMM cannot promise that, because
 BLAS rounds an entry of `Q @ T[cols].T` differently from that of `Q @ T.T`.
 The lexical channel is a small in-memory inverted index over the training
 query texts, scored by BM25 at the textbook k1=1.2, b=0.75. Both channels
-select their top k with one primitive, `_top_k`.
+take their k-th values from one primitive, `_top_k`.
 """
 
 from __future__ import annotations
@@ -90,27 +90,13 @@ def _rounding_bounds(dim: int) -> tuple[float, float]:
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k largest scores in each row, in ascending
-    column order; ties at the k-th value go to the lower columns.
-
-    A row narrower than k keeps every column.
-    """
-    n_rows, width = scores.shape
+    """The k largest values along the last axis, in no particular order
+    (kNN's floor starts from the least of them); a row of at most k values
+    comes back whole."""
+    width = scores.shape[-1]
     if width <= k:
-        return np.tile(np.arange(width), (n_rows, 1))
-    # copy the k-th column out so the partitioned copy can be freed
-    kth = np.partition(scores, width - k, axis=1)[:, width - k].copy()
-    # the same row-major pairs as a 2-D np.nonzero, at a tenth of its cost
-    rows, cols = np.divmod(np.flatnonzero(scores >= kth[:, None]), width)
-    if rows.size > n_rows * k:
-        # some row ties at its k-th value across the cut: keep everything
-        # above it, then the lowest-column ties up to k entries
-        tied = scores[rows, cols] == kth[rows]
-        above = np.bincount(rows[~tied], minlength=n_rows)
-        ties = np.bincount(rows[tied], minlength=n_rows)
-        tie_rank = np.cumsum(tied) - 1 - (np.cumsum(ties) - ties)[rows]
-        cols = cols[~tied | (tie_rank < (k - above)[rows])]
-    return cols.reshape(n_rows, k)
+        return scores
+    return np.partition(scores, width - k, axis=-1)[..., width - k:]
 
 
 def knn(
@@ -186,7 +172,7 @@ def knn(
             # the block is at least k wide (k <= n_train): per test query, the
             # k largest lower bounds on float64 scores so far, whose minimum
             # `floor` bounds the final k-th score (-inf keeps every column)
-            best_low = np.take_along_axis(scores, _top_k(scores, k), axis=1) - err[:, None]
+            best_low = _top_k(scores, k) - err[:, None]
             floor = best_low.min(axis=1)
         # flat indices into the block: divmod by its width is row-major
         width = stop - base
@@ -212,7 +198,7 @@ def knn(
                 held = np.full((n_test, k + rank.max() + 1), -np.inf)
                 held[:, :k] = best_low
                 held[rows, k + rank] = low
-                best_low = np.take_along_axis(held, _top_k(held, k), axis=1)
+                best_low = _top_k(held, k)
                 floor = best_low.min(axis=1)
                 flat = flat[scores.reshape(-1)[flat] >= _float32_floor(floor - err)[flat // width]]
         rows, cols = np.divmod(flat, width)
@@ -298,8 +284,13 @@ def bm25_search(index: Bm25Index, query_text: str, k: int) -> tuple[tuple[str, f
         idf = math.log(1.0 + (index.n - df + 0.5) / (df + 0.5))
         norm = _BM25_K1 * (1.0 - _BM25_B + _BM25_B * index.len_ratio[ordinals])
         scores[ordinals] += idf * tfs * (_BM25_K1 + 1.0) / (tfs + norm)
-    matched = np.flatnonzero(scores > 0.0)
-    top = matched[_top_k(scores[None, matched], k)[0]]
+    top = np.flatnonzero(scores > 0.0)
+    if top.size > k:
+        # every doc above the k-th score, then the lowest-ordinal docs tied at it
+        values = scores[top]
+        kth = _top_k(values, k).min()
+        above, tied = values > kth, values == kth
+        top = top[above | (tied & (np.cumsum(tied) <= k - np.count_nonzero(above)))]
     top = top[np.argsort(-scores[top], kind="stable")]
     return tuple((index.doc_ids[o], float(scores[o])) for o in top)
 

@@ -159,6 +159,48 @@ class TestEval:
         assert capsys.readouterr().out.count("mrr@10 mean over 2 queries: 1.0000") == 2
 
 
+# grades whose NDCG gain, or whose ideal DCG, does not fit a float64
+OVERFLOWING_GRADES = {
+    "linear-400-digits": ("linear", [10**399]),
+    "exponential-1024": ("exponential", [1024]),
+    "exponential-ideal-dcg": ("exponential", [1023, 1023, 1023]),
+}
+
+
+def score_ndcg(tmp_path, command, gain, grades):
+    """`eval` or `aggregate` (two folds, one test query each) by ndcg@10 on
+    a run that ranks q0's judged docs in order."""
+    qrels = write(tmp_path / "qrels.txt", "".join(f"q0 0 d{i} {g}\n" for i, g in enumerate(grades)) + "q1 0 d0 1\n")
+    run = write(tmp_path / "run.txt", "".join(f"q0 Q0 d{i} {i + 1} 1.0 t\n" for i in range(len(grades)))
+                + "q1 Q0 d0 1 1.0 t\n")
+    out = tmp_path / "report.tsv"
+    flags = ["--qrels", qrels, "--metric", "ndcg@10", "--gain", gain, "-o", str(out)]
+    if command == "eval":
+        return cli.main(["eval", "--run", run, *flags]), out
+    manifest = write(tmp_path / "folds.txt", "#regime=resttest\n#k=2\n[training]\n[bucket 0]\nq0\n[bucket 1]\nq1\n")
+    return cli.main(["aggregate", "--manifest", manifest, "--runs", run, run, *flags]), out
+
+
+@pytest.mark.parametrize("command", ["eval", "aggregate"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_GRADES))
+def test_ndcg_gain_overflow_is_data_error(tmp_path, capsys, command, case):
+    gain, grades = OVERFLOWING_GRADES[case]
+    rc, out = score_ndcg(tmp_path, command, gain, grades)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"xtrap: data error: ndcg@10: query q0: the {gain} gains of grades up to {max(grades)} overflow a float64\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "aggregate"])
+@pytest.mark.parametrize("gain, grade", [("linear", 2**1023), ("exponential", 1023)])
+def test_largest_finite_ndcg_gain_scores(tmp_path, command, gain, grade):
+    rc, out = score_ndcg(tmp_path, command, gain, [grade])
+    assert rc == 0
+    assert out.read_text().endswith("\t1.0000\n")
+
+
 class TestKnnAndCandidates:
     def test_knn_tsv(self, tmp_path, capsys):
         train = emb_file(tmp_path, "train.evec", ["a", "b"], [[1, 0], [0, 1]])
@@ -398,6 +440,16 @@ RESAMPLE_RUNS = {
 def run_resample(command, files, out):
     return cli.main([*command, "--train-queries", files["train_q"], "--test-queries", files["test_q"],
                      "--train-emb", files["train_e"], "--test-emb", files["test_e"], "-o", str(out)])
+
+
+@pytest.mark.parametrize("name", ["restrain-inter", "restrain-extra", "resttest"])
+def test_negative_seed_fails_before_reading(tmp_path, capsys, name):
+    # none of the four inputs exists: the usage error comes before any read
+    files = {f: str(tmp_path / f"{f}.missing") for f in ("train_q", "test_q", "train_e", "test_e")}
+    out = tmp_path / "out.txt"
+    assert run_resample(RESAMPLE_RUNS[name] + ["--seed", "-1"], files, out) == 1
+    assert capsys.readouterr().err == "xtrap: error: seed must be >= 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", RESAMPLE_RUNS)

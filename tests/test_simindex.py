@@ -5,10 +5,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -619,18 +620,23 @@ def test_knn_bitwise_for_any_blas_thread_count():
     st.integers(0, 6),
     st.integers(0, 12),
     st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from([np.float32, np.float64]),
     st.data(),
 )
-def test_top_k_matches_lexsort_oracle(n_rows, width, k, data):
-    # values from a small range force many ties, also across the cut
-    values = data.draw(st.lists(st.integers(-2, 2), min_size=n_rows * width, max_size=n_rows * width))
-    scores = np.asarray(values, dtype=np.float64).reshape(n_rows, width)
+def test_top_k_matches_lexsort_oracle(n_rows, width, k, one_row, dtype, data):
+    # values from a small range force many ties, also across the cut; a 1-D
+    # input is a single row
+    shape = (width,) if one_row else (n_rows, width)
+    size = width if one_row else n_rows * width
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    scores = np.asarray(values, dtype=dtype).reshape(shape)
     got = _top_k(scores, k)
-    assert got.shape == (n_rows, min(k, width))
-    for row, picked in zip(scores, got):
-        # best first: score descending, then column ascending
-        want = np.lexsort((np.arange(width), -row))[:k]
-        assert picked.tolist() == sorted(want.tolist())
+    assert got.dtype == dtype
+    assert got.shape == shape[:-1] + (min(k, width),)
+    for row in np.ndindex(shape[:-1]):
+        # each row's values in any order: sorted, they are its k largest
+        assert np.sort(got[row]).tolist() == np.sort(scores[row])[width - min(k, width):].tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -640,6 +646,8 @@ def test_top_k_matches_lexsort_oracle(n_rows, width, k, data):
     st.integers(1, 14),
     st.randoms(use_true_random=False),
 )
+# one doc above the k-th score, and three docs tied at it for the one slot left
+@example([["fish"], ["cat"], ["cat"], ["cat"]], [["cat", "fish"]], 2, Random(0))
 def test_bm25_search_matches_verbatim_oracle(texts, queries, k, random):
     # four terms over short texts repeat texts and scores, so ties are common,
     # also across the cut; queries repeat terms, and "owl" matches no doc
