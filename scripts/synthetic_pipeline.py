@@ -21,8 +21,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
+# xtrap before numpy: `import xtrap` sets the OPENBLAS_THREAD_TIMEOUT default,
+# which OpenBLAS reads only when numpy loads it
 from xtrap import cli
 from xtrap.dataio import (
     EmbeddingSet,
@@ -35,6 +35,8 @@ from xtrap.dataio import (
 )
 from xtrap.dataio import QuerySet
 from xtrap.resample import read_manifest
+
+import numpy as np
 
 CLUSTERS = 8
 TRAIN_PER_CLUSTER = 40

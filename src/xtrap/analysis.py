@@ -4,10 +4,13 @@ correlations, inter-annotator agreement, and 2-D PCA for split plots.
 The overlap audit answers "how many test queries share at least one
 relevant passage with the training judgments" at configurable grade
 thresholds. Correlations follow the tie-corrected textbook definitions
-(average ranks for Spearman, tau-b tie terms for Kendall). PCA solves
-the dense d x d covariance with a symmetric eigensolver and fixes each
-axis' sign, so projections are reproducible; it is meant for plotting,
-not for the resampling protocol itself.
+(average ranks for Spearman, tau-b tie terms for Kendall). PCA, meant for
+plotting and not for the resampling protocol, solves the dense d x d
+covariance with a symmetric eigensolver and fixes each axis' sign. kNN and
+k-means are bitwise the same for any BLAS thread count (up to 10,000
+dimensions); PCA is not: on a 12k x 768 set, 1 and 2 OpenBLAS threads gave
+equal covariances, but `np.linalg.eigh`'s eigenpairs, and so the projection,
+differed in their last bits (the 6-digit `xtrap pca` output was the same).
 """
 
 from __future__ import annotations
@@ -244,11 +247,14 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
     return 1.0 if chance == n * n else (n * agree - chance) / (n * n - chance)
 
 
-def _row_chunks(matrix: np.ndarray) -> Iterator[np.ndarray]:
-    """Float64 copies of `matrix`'s rows, in bounded chunks in row order."""
+def _centred_chunks(matrix: np.ndarray, mean: np.ndarray) -> Iterator[np.ndarray]:
+    """`matrix`'s rows minus `mean`, each float32 value cast exactly to float64,
+    in bounded chunks in row order, all in one buffer: a chunk lasts until the next."""
     step = max(1, _CHUNK_ELEMENTS // matrix.shape[1])
-    for lo in range(0, matrix.shape[0], step):
-        yield matrix[lo : lo + step].astype(np.float64)
+    buf = np.empty((min(step, len(matrix)), matrix.shape[1]))
+    for lo in range(0, len(matrix), step):
+        chunk = matrix[lo : lo + step]
+        yield np.subtract(chunk, mean, out=buf[: len(chunk)], dtype=np.float64)
 
 
 def _pca(points: EmbeddingSet, out_dims: int) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
@@ -262,13 +268,10 @@ def _pca(points: EmbeddingSet, out_dims: int) -> tuple[np.ndarray, np.ndarray, t
     if out_dims > dim:
         raise DataError(f"a {out_dims}-D projection needs vectors of at least {out_dims} dimensions, got {dim}")
     # column mean, then sample covariance (divisor n-1), in float64, chunked
-    total = np.zeros(dim, dtype=np.float64)
-    for block in _row_chunks(points.matrix):
-        total += block.sum(axis=0)
-    mean = total / n
+    step = max(1, _CHUNK_ELEMENTS // dim)
+    mean = sum(points.matrix[lo : lo + step].sum(axis=0, dtype=np.float64) for lo in range(0, n, step)) / n
     cov = np.zeros((dim, dim), dtype=np.float64)
-    for block in _row_chunks(points.matrix):
-        block -= mean
+    for block in _centred_chunks(points.matrix, mean):
         cov += block.T @ block
     values, vectors = np.linalg.eigh(cov / (n - 1))
     components = vectors[:, ::-1][:, :out_dims].T.copy()
@@ -292,11 +295,7 @@ def pca_project(points: EmbeddingSet, out_dims: int = 2) -> np.ndarray:
     """Project every embedding onto the top principal axes: a float64
     `(len(points), out_dims)` array, row i for `points.ids[i]`."""
     mean, components, _ = _pca(points, out_dims)
-    rows = []
-    for block in _row_chunks(points.matrix):
-        block -= mean
-        rows.append(block @ components.T)
-    return np.vstack(rows)
+    return np.vstack([block @ components.T for block in _centred_chunks(points.matrix, mean)])
 
 
 def write_pca_projection(ids: Sequence[str], coords: np.ndarray, groups: dict[str, str] | None, path) -> None:

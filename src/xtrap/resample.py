@@ -206,18 +206,18 @@ class FoldSpec:
         )
 
 
-def _sq_distances(X: np.ndarray, rows: np.ndarray, centroids: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Exact float64 squared distance from X[rows[p]] to centroids[cols[p]], per pair p.
+def _sq_distances(X: np.ndarray, rows: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Exact float64 squared distance from X[rows[p]] to the float64 `centroid`, per row p.
 
-    The float32 rows are not copied to float64: the subtraction casts each
-    element exactly, so a pair's distance is the same float64 `einsum` over
-    its own difference vector whatever the blocking and the other pairs.
+    The float32 rows are not copied to float64: subtracting the broadcast
+    centroid casts each element exactly, so a row's distance is the same
+    float64 `einsum` over its own difference vector whatever the blocking.
     """
     out = np.empty(len(rows), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // X.shape[1])
     for lo in range(0, len(rows), step):
         block = slice(lo, lo + step)
-        diff = X[rows[block]] - centroids[cols[block]]
+        diff = X[rows[block]] - centroid
         out[block] = np.einsum("ij,ij->i", diff, diff)
     return out
 
@@ -258,9 +258,10 @@ def _assign(
             survive = approx - err <= high.min(axis=1)[:, None]
         # a float32 overflow leaves inf or nan: every centroid of the row survives
         survive[~np.isfinite(high).all(axis=1)] = True
-        rows, cols = np.nonzero(survive)
         exact = np.full(survive.shape, np.inf)
-        exact[rows, cols] = _sq_distances(X, rows + lo, centroids, cols)
+        for j, centroid in enumerate(centroids):
+            rows = np.flatnonzero(survive[:, j])
+            exact[rows, j] = _sq_distances(X, rows + lo, centroid)
         assignment[block] = np.argmin(exact, axis=1)
         d2min[block] = exact.min(axis=1)
         rescored += int(np.count_nonzero(survive.sum(axis=1) > 1))
@@ -275,11 +276,10 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     """
     n = X.shape[0]
     rows = np.arange(n)
-    first = np.zeros(n, dtype=np.intp)
     chosen = [int(rng.integers(n))]
     d2 = np.full(n, np.inf)
     for _ in range(1, k):
-        d2 = np.minimum(d2, _sq_distances(X, rows, X[chosen[-1]][None].astype(np.float64), first))
+        d2 = np.minimum(d2, _sq_distances(X, rows, X[chosen[-1]].astype(np.float64)))
         total = d2.sum()
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))

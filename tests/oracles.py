@@ -5,9 +5,9 @@ all-pairs enumeration, textbook formulas) and deliberately avoids the
 library's code paths, so agreement between the two is meaningful. The
 exception is the section at the end: verbatim copies of replaced library
 code (the line-by-line run and qrels readers, the O(n^2) Kendall loop, the
-EVEC reader over a whole-file `bytes` copy) and of code a faster version
-may replace (the BM25 index and scoring), kept so that their replacements
-can be checked against them.
+EVEC reader over a whole-file `bytes` copy, PCA over float64 chunk copies)
+and of code a faster version may replace (the BM25 index and scoring), kept
+so that their replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -261,8 +261,9 @@ def kmeans_lloyd(mat, k, seed, max_iters=100, tol=1e-4, normalize=False):
 
 # Replaced library code, copied verbatim: the line-by-line run and qrels
 # readers (with `_iter_lines`), which build the library's containers, the
-# O(n^2) Kendall tau-b loop, and the EVEC reader that sliced a `bytes` copy
-# of the whole file (with the `read_embeddings` that fed it).
+# O(n^2) Kendall tau-b loop, the EVEC reader that sliced a `bytes` copy
+# of the whole file (with the `read_embeddings` that fed it), and PCA's
+# passes over float64 copies of each row chunk.
 
 
 def _iter_lines(path) -> Iterator[tuple[int, str]]:
@@ -479,3 +480,36 @@ def bm25_search(index: Bm25Index, query_text: str, k: int) -> tuple[tuple[str, f
     # a lower ordinal is a lower doc id
     top = sorted(np.flatnonzero(scores > 0.0).tolist(), key=lambda o: (-scores[o], o))[:k]
     return tuple((index.doc_ids[o], float(scores[o])) for o in top)
+
+
+def pca_float64_copies(points: EmbeddingSet, out_dims: int, chunk_rows: int):
+    """`analysis._pca` and `pca_project` as three passes over float64 copies
+    of `chunk_rows`-row chunks (the column sum, the centred covariance and
+    the centred projection). Returns (mean, components, eigenvalues,
+    projection); the validation of `out_dims` is left to the library."""
+
+    def _row_chunks(matrix: np.ndarray) -> Iterator[np.ndarray]:
+        """Float64 copies of `matrix`'s rows, in bounded chunks in row order."""
+        for lo in range(0, matrix.shape[0], chunk_rows):
+            yield matrix[lo : lo + chunk_rows].astype(np.float64)
+
+    n, dim = len(points), points.dim
+    # column mean, then sample covariance (divisor n-1), in float64, chunked
+    total = np.zeros(dim, dtype=np.float64)
+    for block in _row_chunks(points.matrix):
+        total += block.sum(axis=0)
+    mean = total / n
+    cov = np.zeros((dim, dim), dtype=np.float64)
+    for block in _row_chunks(points.matrix):
+        block -= mean
+        cov += block.T @ block
+    values, vectors = np.linalg.eigh(cov / (n - 1))
+    components = vectors[:, ::-1][:, :out_dims].T.copy()
+    peaks = np.argmax(np.abs(components), axis=1)
+    components *= np.sign(components[np.arange(out_dims), peaks])[:, None]
+    rows = []
+    for block in _row_chunks(points.matrix):
+        block -= mean
+        rows.append(block @ components.T)
+    eigenvalues = tuple(max(float(v), 0.0) for v in values[::-1][:out_dims])
+    return mean, components, eigenvalues, np.vstack(rows)

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_embeddings
+from conftest import make_embeddings, random_embeddings
+from xtrap import analysis
 from xtrap.dataio import DataError, ParseError, QrelSet
 from xtrap.analysis import (
     DEFAULT_THRESHOLDS,
     GradeThreshold,
+    _pca,
     cohens_kappa,
     kendall_tau_b,
     pca_components,
@@ -282,6 +285,17 @@ class TestKappa:
         assert cohens_kappa(a, b) == want
 
 
+@st.composite
+def pca_inputs(draw):
+    """(rows, out_dims): float32 values with -0.0, subnormals and +-1e30, the
+    rows drawn from a small pool, so that rows repeat."""
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1e-45, -1e-40, 1e30, -1e30]), st.floats(-1e3, 1e3, width=32))
+    dim = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=14))
+    return [pool[i] for i in picks], draw(st.integers(1, dim))
+
+
 class TestPca:
     def test_axis_recovery(self, rng):
         mat = np.zeros((30, 3), dtype=np.float32)
@@ -343,6 +357,37 @@ class TestPca:
         a = pca_project(points, 2)
         b = pca_project(points, 2)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=pca_inputs(), chunk=st.sampled_from(["dim", "3 dim", "default"]))
+    @example(inputs=([[-0.0, -0.0]] * 3, 1), chunk="dim")
+    @example(inputs=([[1e30, -1e-45, 0.0], [-1e30, 1e-40, 1.0], [1e30, -1e-45, 0.0]], 2), chunk="3 dim")
+    def test_passes_are_bitwise_the_float64_copies(self, inputs, chunk):
+        rows, out_dims = inputs
+        points = make_embeddings([f"p{i}" for i in range(len(rows))], rows)
+        dim = points.dim
+        elements = {"dim": dim, "3 dim": 3 * dim, "default": analysis._CHUNK_ELEMENTS}[chunk]
+        want = oracles.pca_float64_copies(points, out_dims, max(1, elements // dim))
+        with mock.patch.object(analysis, "_CHUNK_ELEMENTS", elements):
+            mean, components, eigenvalues = _pca(points, out_dims)
+            projection = pca_project(points, out_dims)
+        assert mean.tobytes() == want[0].tobytes()
+        assert components.tobytes() == want[1].tobytes()
+        assert [v.hex() for v in eigenvalues] == [v.hex() for v in want[2]]
+        assert projection.tobytes() == want[3].tobytes()
+
+    def test_project_peak_below_two_chunks(self, rng, monkeypatch):
+        # one float64 chunk buffer per pass, plus the projection's rows and
+        # numpy's cast buffers: a second live chunk would break the bound
+        points = random_embeddings(rng, "p", 5000, 64)
+        monkeypatch.setattr(analysis, "_CHUNK_ELEMENTS", 1000 * 64)
+        tracemalloc.start()
+        try:
+            pca_project(points, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 1000 * 64 * 8
 
 
 class TestFileFormats:

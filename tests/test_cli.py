@@ -391,9 +391,9 @@ class TestResttestAndAggregate:
         real = resample._sq_distances
         calls = []
 
-        def growing(X, rows, centroids, cols):
+        def growing(X, rows, centroid):
             calls.append(None)
-            return real(X, rows, centroids, cols) * 10.0 ** len(calls)
+            return real(X, rows, centroid) * 10.0 ** len(calls)
 
         monkeypatch.setattr(resample, "_sq_distances", growing)
         files = restrain_inputs(tmp_path, rng, n_train=30, n_test=6)

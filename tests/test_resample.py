@@ -108,6 +108,9 @@ class TestKMeans:
             _kmeanspp_init(X, k, np.random.Generator(np.random.PCG64(1)))
         assert passes.call_count == k - 1
         assert all(len(call.args[1]) == len(X) for call in passes.call_args_list)
+        # one broadcast float64 centroid per pass
+        assert all(call.args[2].shape == (X.shape[1],) and call.args[2].dtype == np.float64
+                   for call in passes.call_args_list)
 
     def test_empty_cluster_repair_seizes_farthest(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], dtype=np.float32)
