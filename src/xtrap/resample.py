@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -141,11 +140,9 @@ class SplitSpec:
     def __post_init__(self):
         if self.regime not in ("interpolation", "extrapolation"):
             raise DataError(f"unknown regime {self.regime!r}")
-        if len(set(self.training_ids)) != len(self.training_ids):
-            raise DataError("duplicate ids in training_ids")
-        if len(set(self.test_ids)) != len(self.test_ids):
-            raise DataError("duplicate ids in test_ids")
-        overlap = set(self.training_ids) & set(self.test_ids)
+        # ids are named by their manifest section
+        training = _index_ids(self.training_ids, "[training]")
+        overlap = training.keys() & _index_ids(self.test_ids, f"[test-{self.regime}]")
         if overlap:
             raise DataError(f"training and test ids overlap: {sorted(overlap)[:5]}")
 
@@ -170,15 +167,15 @@ class FoldSpec:
             raise DataError("k must be >= 2: a single bucket leaves no training data")
         if len(self.buckets) != self.k:
             raise DataError(f"expected {self.k} buckets, got {len(self.buckets)}")
-        all_ids = [i for bucket in self.buckets for i in bucket]
-        duplicate = next((i for i, n in Counter(all_ids).items() if n > 1), None)
-        if duplicate is not None:
-            raise DataError(f"buckets must partition the queries; found a duplicate id {duplicate}")
-        missing = self._train_set.difference(all_ids)
+        _index_ids(self.train_ids, "[training]")
+        bucket_of: dict[str, int] = {}
+        for b, bucket in enumerate(self.buckets):
+            for i in _index_ids(bucket, f"[bucket {b}]"):
+                if bucket_of.setdefault(i, b) != b:
+                    raise DataError(f"buckets must partition the queries; found a duplicate id {i}")
+        missing = self._train_set.difference(bucket_of)
         if missing:
             raise DataError(f"training ids missing from buckets: {sorted(missing)[:5]}")
-        if len(self._train_set) != len(self.train_ids):
-            raise DataError("duplicate ids in train_ids")
 
     @functools.cached_property
     def _train_set(self) -> frozenset[str]:
@@ -520,12 +517,20 @@ def write_aggregate_report(report: AggregateReport, path) -> None:
         f.write(f"{report.label}\tALL\t{report.interpolation:.4f}\t{report.extrapolation:.4f}\n")
 
 
-def _check_section_ids(name: str, ids: Sequence[str]) -> None:
-    """The ids of manifest section `name` are unique tokens, none starting with `#` or `[`."""
-    _index_ids(ids, f"[{name}]")
+def _check_section_ids(ids: Sequence[str]) -> None:
+    """No id of a manifest section starts with `#` or `[`, as a header line does;
+    the specs hold the token and uniqueness rule."""
     reserved = next((eid for eid in ids if eid.startswith(("#", "["))), None)
     if reserved is not None:
         raise DataError(f"id {reserved!r} cannot be written to a manifest (reserved prefix)")
+
+
+def _check_provenance(provenance: dict[str, str], reserved: tuple[str, ...]) -> None:
+    """Each `#key=value` header reads back as written: the key is not `reserved`
+    and holds no `=`, and neither key nor value holds a line break."""
+    for key, value in provenance.items():
+        if key in reserved or "=" in key or any(c in key + value for c in "\n\r"):
+            raise DataError(f"provenance {key!r}={value!r} cannot be written to a manifest header")
 
 
 def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
@@ -534,7 +539,8 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
     Header lines `#key=value` (regime first, then seed, then `#k` for
     fold manifests, then the remaining provenance keys sorted), followed
     by one id per line, each a token, under `[training]`, `[test-interpolation]`,
-    `[test-extrapolation]`, or `[bucket i]` sections. LF line endings.
+    `[test-extrapolation]`, or `[bucket i]` sections. LF line endings. What
+    would not read back as written raises DataError before the file opens.
     """
     if isinstance(spec, SplitSpec):
         regime, k_header, training = spec.regime, [], spec.training_ids
@@ -544,13 +550,14 @@ def write_manifest(spec: SplitSpec | FoldSpec, path) -> None:
         sections = [(f"bucket {b}", bucket) for b, bucket in enumerate(spec.buckets)]
     else:
         raise TypeError(f"cannot serialize {type(spec).__name__}")
+    _check_provenance(spec.provenance, ("regime", "k") if k_header else ("regime",))
     prov = dict(spec.provenance)
     lines = [f"#regime={regime}"]
     if "seed" in prov:
         lines.append(f"#seed={prov.pop('seed')}")
     lines += k_header + [f"#{key}={prov[key]}" for key in sorted(prov)]
     for name, ids in [("training", training), *sections]:
-        _check_section_ids(name, ids)
+        _check_section_ids(ids)
         lines.append(f"[{name}]")
         lines.extend(ids)
     with atomic_output(path) as f:
@@ -561,9 +568,10 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
     """Read back a manifest written by :func:`write_manifest`.
 
     Headers other than ``#regime`` and ``#k`` are free-form provenance. A
-    bad ``#regime`` or ``#k`` value, or a section that the regime does not
-    define, is an error at its line. An id that `write_manifest` would
-    refuse is an error too, so every manifest read can be written back.
+    bad ``#regime`` or ``#k`` value, a repeated header, or a section that the
+    regime does not define, is an error at its line. An id or a header that
+    `write_manifest` would refuse is an error too, so every manifest read can
+    be written back.
     """
     headers: dict[str, str] = {}
     header_lines: dict[str, int] = {}
@@ -577,6 +585,8 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
             key, sep, value = line[1:].partition("=")
             if not sep:
                 raise ParseError(path, "header must look like #key=value", lineno)
+            if key in headers:
+                raise ParseError(path, f"duplicate header #{key}", lineno)
             headers[key] = value
             header_lines[key] = lineno
         elif line.startswith("[") and line.endswith("]"):
@@ -614,6 +624,7 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
         if name not in expected:
             raise ParseError(path, f"unexpected section [{name}] for #regime={regime}", lineno)
     with _located(path):
+        _check_provenance(headers, ())
         if regime == "resttest":
             buckets = tuple(tuple(sections[name]) for name in names[1:])
             spec = FoldSpec(k=k, buckets=buckets, train_ids=tuple(sections["training"]), provenance=headers)
@@ -621,5 +632,5 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
             spec = SplitSpec(regime, tuple(sections["training"]), tuple(sections[names[1]]), provenance=headers)
         # after the spec, so that a broken spec rule is reported as that rule
         for name in names:
-            _check_section_ids(name, sections[name])
+            _check_section_ids(sections[name])
     return spec

@@ -18,6 +18,8 @@ ties by ascending neighbor id. Every score is the float64 dot product of the
 two vectors (of the unit vectors for cosine), whatever the block sizes or
 the order of the training rows; a float64 GEMM cannot promise that, because
 BLAS rounds an entry of `Q @ T[cols].T` differently from that of `Q @ T.T`.
+`knn` is a scan (`_scan`) and a rank (`_rank`): a scan to depth D ranks every
+k <= D exactly as `knn(k)` does, rescoring the same pairs when the blocks match.
 The lexical channel is a small in-memory inverted index over the training
 query texts, scored by BM25 at the textbook k1=1.2, b=0.75. Both channels
 take their k-th values from one primitive, `_top_k`.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from typing import Sequence
 
 from . import _np as np
@@ -99,6 +101,10 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.partition(scores, width - k, axis=-1)[..., width - k:]
 
 
+# what `_scan` returns and `_rank` reads
+_Pool = namedtuple("_Pool", "train queries cosine best_low rows cols high")
+
+
 def knn(
     test: EmbeddingSet,
     train: EmbeddingSet,
@@ -125,10 +131,17 @@ def knn(
     if k > n_train:
         logger.warning("k=%d exceeds training set size %d; returning all neighbors", k, n_train)
         k = n_train
+    return _rank(_scan(test, train, k, measure), k)
 
+
+def _scan(test: EmbeddingSet, train: EmbeddingSet, depth: int, measure: str) -> _Pool:
+    """`knn`'s float32 screen to `depth` (1 <= depth <= len(train)): a pool of
+    the float64 queries (unit for cosine), each query's `depth` largest lower
+    bounds on float64 scores, and the survivors (rows[i], cols[i]) with upper
+    bounds high[i], among which lies each query's exact top `depth`."""
+    n_train = len(train)
     n_test, dim = test.matrix.shape
     cosine = measure == "cosine"
-
     queries = test.matrix.astype(np.float64)
     # a query's norm is the same per-vector dot product that scores a pair
     query_norms = np.sqrt(np.vecdot(queries, queries))
@@ -156,7 +169,7 @@ def knn(
     gamma, tiny = _rounding_bounds(dim)
     row_bound = gamma * scale * query_norms
 
-    block = max(k, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
+    block = max(depth, min(n_train, _KNN_BLOCK_ELEMENTS // max(1, n_test)))
     found_rows, found_cols, found_high = [], [], []
     for base in range(0, n_train, block):
         stop = min(n_train, base + block)
@@ -169,10 +182,10 @@ def knn(
             col_max = float(train_norms[base:stop].max())
             err = row_bound * col_max + tiny * (1.0 + col_max)
         if base == 0:
-            # the block is at least k wide (k <= n_train): per test query, the
-            # k largest lower bounds on float64 scores so far, whose minimum
-            # `floor` bounds the final k-th score (-inf keeps every column)
-            best_low = _top_k(scores, k) - err[:, None]
+            # the block is at least depth wide: per test query, the depth
+            # largest lower bounds on float64 scores so far, whose minimum
+            # `floor` bounds the final depth-th score (-inf keeps every column)
+            best_low = _top_k(scores, depth) - err[:, None]
             floor = best_low.min(axis=1)
         # flat indices into the block: divmod by its width is row-major
         width = stop - base
@@ -188,17 +201,17 @@ def knn(
                 rows, low = rows[raises], low[raises]
                 counts = np.bincount(rows, minlength=n_test)
                 rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-                if counts.max() > k:
-                    # keep a row's k largest raising bounds: a row raised by a
+                if counts.max() > depth:
+                    # keep a row's depth largest raising bounds: a row raised by a
                     # whole block would widen the pad below to the block
                     low = low[np.lexsort((-low, rows))]  # rows stay ascending
-                    keep = rank < k
+                    keep = rank < depth
                     rows, low, rank = rows[keep], low[keep], rank[keep]
                 # each row's held bounds, then its raising ones, padded with -inf
-                held = np.full((n_test, k + rank.max() + 1), -np.inf)
-                held[:, :k] = best_low
-                held[rows, k + rank] = low
-                best_low = _top_k(held, k)
+                held = np.full((n_test, depth + rank.max() + 1), -np.inf)
+                held[:, :depth] = best_low
+                held[rows, depth + rank] = low
+                best_low = _top_k(held, depth)
                 floor = best_low.min(axis=1)
                 flat = flat[scores.reshape(-1)[flat] >= _float32_floor(floor - err)[flat // width]]
         rows, cols = np.divmod(flat, width)
@@ -207,14 +220,23 @@ def knn(
         found_high.append(scores.reshape(-1)[flat] + err[rows])
         del scores  # before the next GEMM allocates its block
 
-    # prune once more against the final floor
-    rows = np.concatenate(found_rows)
-    keep = np.concatenate(found_high) >= floor[rows]
-    rows = rows[keep]
-    cols = np.concatenate(found_cols)[keep]
+    rows, cols, high = (np.concatenate(found) for found in (found_rows, found_cols, found_high))
+    return _Pool(train, queries, cosine, best_low, rows, cols, high)
+
+
+def _rank(pool: _Pool, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`knn`'s arrays for any k <= the pool's depth, bitwise. The depth-k
+    floor is the k-th largest lower bound of all columns at any depth, so
+    the prune keeps the pairs of a depth-k scan over the same blocks (as
+    when the depth is within the block budget's rows)."""
+    train, queries, cosine, best_low, rows, cols, high = pool
+    n_test, dim = queries.shape
+    # prune once more, against the depth-k floor
+    keep = high >= _top_k(best_low, k).min(axis=1)[rows]
+    rows, cols = rows[keep], cols[keep]
     logger.info(
         "knn: %d pairs screened in float32, %d survivors rescored in float64 (%.3f x n_test*k)",
-        n_test * n_train, rows.size, rows.size / max(1, n_test * k),
+        n_test * len(train), rows.size, rows.size / max(1, n_test * k),
     )
     exact = np.empty(rows.size)
     step = max(1, _BLOCK_ELEMENTS // dim)

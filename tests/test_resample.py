@@ -572,7 +572,9 @@ class TestSplitSpecValidation:
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: SplitSpec("interpolation", ("a",), ("b", "b")), "duplicate ids in test_ids"),
+    (lambda: SplitSpec("interpolation", ("a",), ("b", "b")), "duplicate [test-interpolation] id b (records 0 and 1)"),
+    (lambda: SplitSpec("interpolation", ("a b",), ("c",)),
+     "[training] id must be a non-empty token, got 'a b' (record 0)"),
     (lambda: FoldSpec(k=3, buckets=(("a",), ("b",)), train_ids=()), "expected 3 buckets, got 2"),
     (lambda: FoldSpec(k=2, buckets=(("a", "b"), ("c", "b")), train_ids=()),
      "buckets must partition the queries; found a duplicate id b"),
@@ -586,11 +588,12 @@ def test_spec_rules_name_what_broke_them(build, message):
 def test_fold_training_ids_are_unique(tmp_path):
     # a repeated training id is as malformed as an id in two buckets; a
     # manifest that repeats one fails to read, naming the file
-    with pytest.raises(DataError, match="^duplicate ids in train_ids$"):
+    message = re.escape("duplicate [training] id a (records 0 and 1)")
+    with pytest.raises(DataError, match=f"^{message}$"):
         FoldSpec(k=2, buckets=(("a",), ("b",)), train_ids=("a", "a"))
     path = tmp_path / "folds.txt"
     path.write_text("#regime=resttest\n#k=2\n[training]\na\na\n[bucket 0]\na\n[bucket 1]\nb\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: duplicate ids in train_ids$"):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
         read_manifest(path)
 
 
@@ -827,19 +830,16 @@ class TestManifest:
             write_manifest(split, tmp_path / "m.txt")
 
     @pytest.mark.parametrize("bad", ["a\nb", "", "a b", "a\tb", "a\r", "a\u00a0b"])
-    def test_non_token_id_rejected_before_writing(self, tmp_path, bad):
-        # the token rule of every record id: "a\nb" would read back as ("a", "b"),
-        # "a\r" as "a" and "" as no id at all
-        old = tmp_path / "m.txt"
-        old.write_bytes(b"old\n")
-        for spec in (SplitSpec("interpolation", (bad,), ("c",)), SplitSpec("extrapolation", ("c",), (bad,)),
-                     FoldSpec(2, (("c",), (bad,)), ("c",))):
-            with pytest.raises(DataError, match=f" id must be a non-empty token, got {re.escape(repr(bad))} "):
-                write_manifest(spec, old)
-            with pytest.raises(DataError):
-                write_manifest(spec, tmp_path / "new.txt")
-            assert old.read_bytes() == b"old\n"
-            assert list(tmp_path.iterdir()) == [old]
+    def test_non_token_id_rejected_when_built(self, bad):
+        # the token rule of every record id, so no spec reaches a manifest
+        # with one: "a\nb" would read back as ("a", "b"), "a\r" as "a" and ""
+        # as no id at all
+        for build, section in ((lambda: SplitSpec("interpolation", (bad,), ("c",)), "[training]"),
+                               (lambda: SplitSpec("extrapolation", ("c",), (bad,)), "[test-extrapolation]"),
+                               (lambda: FoldSpec(2, (("c",), (bad,)), ("c",)), "[bucket 1]")):
+            with pytest.raises(DataError) as exc:
+                build()
+            assert str(exc.value) == f"{section} id must be a non-empty token, got {bad!r} (record 0)"
 
     def test_unknown_spec_type_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="^cannot serialize object$"):
@@ -891,6 +891,8 @@ class TestManifest:
     @pytest.mark.parametrize("text, where, message", [
         ("#regime=interpolation\n[training]\na\n#seed=1\n", ":4", "header line after a section started"),
         ("#regime=interpolation\n[training]\na\n[training]\nb\n", ":4", "duplicate section [training]"),
+        ("#regime=interpolation\n#seed=1\n#seed=2\n[training]\n", ":3", "duplicate header #seed"),
+        ("#regime=extrapolation\n#regime=interpolation\n[training]\n", ":2", "duplicate header #regime"),
         ("#regime=resttest\n#k=x\n[training]\n", ":2", "#k must be an integer"),
         ("#regime=sideways\n[training]\n", ":1", "unknown regime 'sideways'"),
     ])
@@ -921,6 +923,10 @@ UNWRITABLE_MANIFESTS = {
 UNWRITABLE_MANIFESTS["reserved-prefix"] = (
     "#regime=interpolation\n[training]\n[x\n[test-interpolation]\nq1\n",
     "id '[x' cannot be written to a manifest (reserved prefix)",
+)
+UNWRITABLE_MANIFESTS["carriage-return-in-header"] = (
+    "#regime=interpolation\n#note=a\rb\n[training]\n[test-interpolation]\nq1\n",
+    "provenance 'note'='a\\rb' cannot be written to a manifest header",
 )
 
 
@@ -961,3 +967,38 @@ def test_every_manifest_read_writes_back(tmp_path_factory, regime, training, fir
         return
     write_manifest(spec, tmp / "back.txt")
     assert read_manifest(tmp / "back.txt") == spec
+
+
+# provenance text that probes the header syntax: `=`, both line breaks, a
+# `#`, the reserved keys, and `seed`, which is written first
+_HEADER_TEXT = st.text(st.sampled_from(["a", "k", "=", "#", " ", "\n", "\r"]), max_size=3) | st.sampled_from(
+    ["regime", "k", "seed"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["interpolation", "extrapolation", "resttest"]),
+       st.lists(st.sampled_from(["t1", "t2", "q1", "q2", "#x", "[y"]), min_size=2, unique=True),
+       st.integers(0, 6), st.dictionaries(_HEADER_TEXT, _HEADER_TEXT, max_size=3))
+def test_every_written_manifest_reads_back(tmp_path_factory, regime, ids, cut, provenance):
+    # a spec either writes and reads back equal, or is refused with the
+    # target untouched, and only for a header or an id that would not read
+    # back as written
+    cut = min(cut, len(ids) - 1)
+    if regime == "resttest":
+        spec = FoldSpec(2, (tuple(ids[:cut + 1]), tuple(ids[cut + 1:])), tuple(ids[:cut]), provenance)
+    else:
+        spec = SplitSpec(regime, tuple(ids[:cut]), tuple(ids[cut:]), provenance)
+    reserved = ("regime", "k") if regime == "resttest" else ("regime",)
+    refused = any(key in reserved or "=" in key or {"\n", "\r"} & {*key, *value} for key, value in
+                  provenance.items()) or any(i.startswith(("#", "[")) for i in ids)
+    tmp = tmp_path_factory.mktemp("provenance")
+    path = tmp / "m.txt"
+    path.write_bytes(b"old\n")
+    if refused:
+        with pytest.raises(DataError):
+            write_manifest(spec, path)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp.iterdir()) == [path]
+    else:
+        write_manifest(spec, path)
+        assert read_manifest(path) == spec

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,13 @@ from hypothesis.extra.numpy import arrays
 import oracles
 import xtrap
 from conftest import knn_lists, make_embeddings, make_queries, random_embeddings
+from xtrap import simindex
 from xtrap.dataio import DataError
 from xtrap.simindex import (
     MEASURES,
     Bm25Index,
+    _rank,
+    _scan,
     _top_k,
     bm25_search,
     knn,
@@ -579,6 +583,47 @@ def test_knn_bitwise_for_any_block_size(dim, n_train, n_test, data):
                     index, scores = knn(test, train, k, measure=measure)
                 results.add((index.tobytes(), scores.tobytes()))
         assert len(results) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(1, 5), st.data())
+def test_rank_of_a_deeper_scan_is_knn(dim, n_base, n_test, data):
+    # one scan to depth D serves every k <= D: knn(k)'s arrays, and the same
+    # survivors rescored whenever the two scans share their blocks, as with
+    # the default budget or one of D rows per block; with blocks one depth
+    # wide a row scaled by 1e20 widens its block's bounds only in the deeper
+    # scan, so only the arrays must match. Integer components and duplicated
+    # rows tie exactly
+    small = st.integers(-2, 2)
+    base = data.draw(arrays(np.int8, (n_base, dim), elements=small)).astype(np.float32)
+    mat = np.vstack([base, base[data.draw(st.lists(st.integers(0, n_base - 1), max_size=n_base))]])
+    mat *= np.asarray(data.draw(st.lists(st.sampled_from([1.0, 1.0, 1e-20, 1e20]), min_size=len(mat),
+                                         max_size=len(mat))), dtype=np.float32)[:, None]
+    test_mat = data.draw(arrays(np.int8, (n_test, dim), elements=small)).astype(np.float32)
+    for m in (mat, test_mat):
+        m[~m.any(axis=1), 0] = 1  # cosine needs nonzero vectors
+    order = data.draw(st.permutations(range(len(mat))))
+    train = make_embeddings([f"t{i:02d}" for i in order], mat)
+    test = make_embeddings([f"q{i}" for i in range(n_test)], test_mat)
+    depth = data.draw(st.integers(1, len(mat)))
+    ks = sorted({1, data.draw(st.integers(1, depth)), depth})
+    for measure in MEASURES:
+        for scan in (1, depth * n_test, None):
+            for rescore in (dim, None):
+                with pytest.MonkeyPatch.context() as mp:
+                    if scan is not None:
+                        mp.setattr("xtrap.simindex._KNN_BLOCK_ELEMENTS", scan)
+                    if rescore is not None:
+                        mp.setattr("xtrap.simindex._BLOCK_ELEMENTS", rescore)
+                    pool = _scan(test, train, depth, measure)
+                    rows = min(len(mat), simindex._KNN_BLOCK_ELEMENTS // n_test)
+                    for k in ks:
+                        with mock.patch.object(simindex.logger, "info") as info:
+                            got = _rank(pool, k)
+                            want = knn(test, train, k, measure=measure)
+                        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                        if max(k, rows) == max(depth, rows):  # the same blocks
+                            assert info.call_args_list[0] == info.call_args_list[1]
 
 
 _BLAS_THREADS_PROBE = """
