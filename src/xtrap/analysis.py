@@ -7,10 +7,11 @@ thresholds. Correlations follow the tie-corrected textbook definitions
 (average ranks for Spearman, tau-b tie terms for Kendall). PCA, meant for
 plotting and not for the resampling protocol, solves the dense d x d
 covariance with a symmetric eigensolver and fixes each axis' sign. kNN and
-k-means are bitwise the same for any BLAS thread count (up to 10,000
-dimensions); PCA is not: on a 12k x 768 set, 1 and 2 OpenBLAS threads gave
-equal covariances, but `np.linalg.eigh`'s eigenpairs, and so the projection,
-differed in their last bits (the 6-digit `xtrap pca` output was the same).
+k-means are bitwise the same for any BLAS thread count, OpenBLAS kernel and
+numpy SIMD level; PCA is not: on a 12k x 768 set, 1 and 2 OpenBLAS threads
+gave equal covariances, but `np.linalg.eigh`'s eigenpairs, and so the
+projection, differed in their last bits (the 6-digit `xtrap pca` output was
+the same).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import _np as np
-from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _iter_lines, atomic_output
+from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _bad_number, _iter_lines, atomic_output
 
 # values per row chunk of PCA's float64 passes; the covariance is summed
 # chunk by chunk, so the chunk size is part of its rounding
@@ -120,6 +121,8 @@ def read_pairs(path) -> list[tuple[str, float, float]]:
             raise ParseError(path, f"expected 'label<TAB>x<TAB>y', got {len(fields)} fields", lineno)
         label, xs, ys = fields
         try:
+            if _bad_number(xs + ys):
+                raise ValueError
             x, y = float(xs), float(ys)
         except ValueError:
             raise ParseError(path, "x and y must be decimal numbers", lineno) from None
@@ -219,12 +222,15 @@ def kendall_tau_b(pairs: PairedScores) -> float:
 
 
 def read_labels(path) -> dict[str, str]:
-    """TSV `item_id<TAB>label`, one labeled item per line: {item: label} in file order."""
+    """TSV `item_id<TAB>label`, one labeled item per line: {item: label} in file
+    order. An item id or a label may not be empty."""
     labels: dict[str, str] = {}
     for lineno, line in _iter_lines(path):
         if "\t" not in line:
             raise ParseError(path, "expected 'item_id<TAB>label'", lineno)
         item, label = line.split("\t", 1)
+        if not item or not label:
+            raise ParseError(path, f"empty {'item id' if not item else 'label'}", lineno)
         if item in labels:
             raise ParseError(path, f"duplicate item id {item}", lineno)
         labels[item] = label

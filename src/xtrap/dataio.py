@@ -22,8 +22,9 @@ of whole lines, split on ``\\n`` only; one leading UTF-8 byte-order mark is
 dropped, so the query, qrels and run writers refuse a first id that starts
 with U+FEFF.
 
-Readers check syntax (field counts, numbers, UTF-8, the EVEC layout); the
-containers check the record rules:
+Readers check syntax (field counts, numbers, UTF-8, the EVEC layout); a
+number field holds no '_' and no non-ASCII character, which int() and
+float() would read. The containers check the record rules:
 
 - :class:`QuerySet`, :class:`EmbeddingSet`: unique whitespace-free ids;
   :class:`EmbeddingSet` also finite components
@@ -67,6 +68,13 @@ _WS = re.compile(r"\s")
 
 def _bad_id(value: str) -> bool:
     return not value or _WS.search(value) is not None
+
+
+def _bad_number(text: str) -> bool:
+    """Whether number fields hold what int() and float() read but C's strtol
+    and strtod, as in trec_eval, do not: a digit-group '_' or a non-ASCII
+    character, such as the digits '١' and '１'."""
+    return "_" in text or not text.isascii()
 
 
 @contextlib.contextmanager
@@ -460,6 +468,8 @@ def parse_qrels(path) -> QrelSet:
                     raise ParseError(path, f"expected 'qid 0 docid rel' (4 fields), got {len(fields)}", lineno)
                 qid, _, docid, rel_s = fields
                 try:
+                    if _bad_number(rel_s):
+                        raise ValueError
                     rel = int(rel_s)
                 except ValueError:
                     message = f"relevance grade must be an integer, got {rel_s!r}"
@@ -515,10 +525,14 @@ def parse_run(path) -> RunSet:
                     )
                 qid, _, docid, rank_s, score_s, line_tag = fields
                 try:
+                    if _bad_number(rank_s):
+                        raise ValueError
                     rank = int(rank_s)
                 except ValueError:
                     raise ParseError(path, f"rank must be an integer, got {rank_s!r}", lineno) from None
                 try:
+                    if _bad_number(score_s):
+                        raise ValueError
                     score = float(score_s)
                 except ValueError:
                     raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None
@@ -645,6 +659,9 @@ def _read_embeddings_tsv(path, f: IO[bytes] | None = None) -> EmbeddingSet:
         if not parts:
             raise ParseError(path, "empty vector", lineno)
         try:
+            # test the components, not `rest`: split() drops non-ASCII whitespace
+            if _bad_number("".join(parts)):
+                raise ValueError
             values = [float(p) for p in parts]
         except ValueError:
             raise ParseError(path, "vector components must be decimal floats", lineno) from None

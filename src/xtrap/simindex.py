@@ -15,9 +15,9 @@ columns by `divmod`, which is far cheaper than a 2-D `np.nonzero` and gives
 the same row-major order. Only the survivors are rescored in float64, one
 dot product per pair over row blocks of pairs, and one `lexsort` ranks them,
 ties by ascending neighbor id. Every score is the float64 dot product of the
-two vectors (of the unit vectors for cosine), whatever the block sizes or
-the order of the training rows; a float64 GEMM cannot promise that, because
-BLAS rounds an entry of `Q @ T[cols].T` differently from that of `Q @ T.T`.
+two vectors (of the unit vectors for cosine), summed by numpy's einsum loop in
+an order fixed by the length, whatever the blocks, row order, BLAS kernel or
+thread count; BLAS, whose sums follow its CPU kernel, runs only float32 screens.
 `knn` is a scan (`_scan`) and a rank (`_rank`): a scan to depth D ranks every
 k <= D exactly as `knn(k)` does, rescoring the same pairs when the blocks match.
 The lexical channel is a small in-memory inverted index over the training
@@ -144,7 +144,7 @@ def _scan(test: EmbeddingSet, train: EmbeddingSet, depth: int, measure: str) -> 
     cosine = measure == "cosine"
     queries = test.matrix.astype(np.float64)
     # a query's norm is the same per-vector dot product that scores a pair
-    query_norms = np.sqrt(np.vecdot(queries, queries))
+    query_norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
     train_norms = np.sqrt(np.einsum("ij,ij->i", train.matrix, train.matrix, dtype=np.float64))
     if cosine:
         for what, ids, norms in (("test", test.ids, query_norms), ("train", train.ids, train_norms)):
@@ -244,9 +244,9 @@ def _rank(pool: _Pool, k: int) -> tuple[np.ndarray, np.ndarray]:
         pairs = slice(lo, lo + step)
         vecs = train.matrix[cols[pairs]].astype(np.float64)
         if cosine:
-            vecs /= np.sqrt(np.vecdot(vecs, vecs))[:, None]
+            vecs /= np.sqrt(np.einsum("ij,ij->i", vecs, vecs))[:, None]
         # one dot product per pair: a gemv rounds a row by its batch position
-        exact[pairs] = np.vecdot(vecs, queries[rows[pairs]])
+        exact[pairs] = np.einsum("ij,ij->i", vecs, queries[rows[pairs]])
     # by query, score descending, then ascending id; a query keeps >= k survivors
     counts = np.bincount(rows, minlength=n_test)
     top = np.lexsort((train.id_rank[cols], -exact, rows))[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]

@@ -74,7 +74,15 @@ def recall_at(ranked_docs, grades, cutoff, threshold):
 
 
 def knn_all_pairs(test_ids, test_mat, train_ids, train_mat, k, measure):
-    """Full sort over every (test, train) pair; returns [(qid, [(nid, score)])]."""
+    """Full sort over every (test, train) pair; returns [(qid, [(nid, score)])].
+
+    A score is the float64 dot product summed by numpy's einsum loop (of the
+    unit vectors for cosine, each norm the square root of such a product),
+    not by BLAS, whose summation order follows the CPU kernel it picks."""
+
+    def dot(a, b):
+        return np.einsum("i,i->", a, b)
+
     out = []
     for qid, q in zip(test_ids, test_mat):
         q = np.asarray(q, dtype=np.float64)
@@ -82,9 +90,9 @@ def knn_all_pairs(test_ids, test_mat, train_ids, train_mat, k, measure):
         for nid, t in zip(train_ids, train_mat):
             t = np.asarray(t, dtype=np.float64)
             if measure == "cosine":
-                s = float(np.dot(q / np.linalg.norm(q), t / np.linalg.norm(t)))
+                s = float(dot(q / np.sqrt(dot(q, q)), t / np.sqrt(dot(t, t))))
             else:
-                s = float(np.dot(q, t))
+                s = float(dot(q, t))
             scored.append((nid, s))
         scored.sort(key=lambda e: (-e[1], e[0]))
         out.append((qid, scored[:k]))
@@ -260,10 +268,17 @@ def kmeans_lloyd(mat, k, seed, max_iters=100, tol=1e-4, normalize=False):
 
 
 # Replaced library code, copied verbatim: the line-by-line run and qrels
-# readers (with `_iter_lines`), which build the library's containers, the
+# readers (with `_iter_lines`), which build the library's containers and
+# have since gained the number rule of `_c_number` on every number field, the
 # O(n^2) Kendall tau-b loop, the EVEC reader that sliced a `bytes` copy
 # of the whole file (with the `read_embeddings` that fed it), and PCA's
 # passes over float64 copies of each row chunk.
+
+
+def _c_number(field: str) -> bool:
+    """The number rule of the text formats: int() and float() also read a
+    digit-group '_' and non-ASCII digits, which a number field may not hold."""
+    return "_" not in field and field.isascii()
 
 
 def _iter_lines(path) -> Iterator[tuple[int, str]]:
@@ -295,6 +310,8 @@ def parse_qrels(path) -> QrelSet:
             raise ParseError(path, f"expected 'qid 0 docid rel' (4 fields), got {len(fields)}", lineno)
         qid, _, docid, rel_s = fields
         try:
+            if not _c_number(rel_s):
+                raise ValueError
             rel = int(rel_s)
         except ValueError:
             raise ParseError(path, f"relevance grade must be an integer, got {rel_s!r}", lineno) from None
@@ -325,10 +342,14 @@ def parse_run(path) -> RunSet:
             )
         qid, _, docid, rank_s, score_s, line_tag = fields
         try:
+            if not _c_number(rank_s):
+                raise ValueError
             rank = int(rank_s)
         except ValueError:
             raise ParseError(path, f"rank must be an integer, got {rank_s!r}", lineno) from None
         try:
+            if not _c_number(score_s):
+                raise ValueError
             score = float(score_s)
         except ValueError:
             raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None

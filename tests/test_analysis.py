@@ -407,6 +407,12 @@ class TestFileFormats:
         bad.write_text("a\tinf\t2\n")
         with pytest.raises(ParseError):
             read_pairs(bad)
+        bad.write_text("a\t1_0\t2\n")
+        with pytest.raises(ParseError):
+            read_pairs(bad)
+        bad.write_text("a\t1\t\u0662\n", encoding="utf-8")
+        with pytest.raises(ParseError):
+            read_pairs(bad)
 
     def test_read_labels(self, tmp_path):
         path = tmp_path / "labels.tsv"
@@ -415,3 +421,8 @@ class TestFileFormats:
         path.write_text("item1\tfull\nitem1\tzero\n")
         with pytest.raises(ParseError):
             read_labels(path)
+        for text, message in (("item1\tfull\nitem2\t\n", "2: empty label"), ("\tfull\n", "1: empty item id")):
+            path.write_text(text)
+            with pytest.raises(ParseError) as exc:
+                read_labels(path)
+            assert str(exc.value) == f"{path}:{message}"

@@ -158,6 +158,16 @@ class TestEval:
         assert reports[0].endswith("mrr@10\tALL\t1.0000\n")
         assert capsys.readouterr().out.count("mrr@10 mean over 2 queries: 1.0000") == 2
 
+    def test_digit_group_score_is_parse_error(self, tmp_path, capsys):
+        # float() reads 1_000 as 1000 and ranked d1 first (mrr@10 1.0, exit 0);
+        # trec_eval's atof reads 1 (mrr@10 0.5)
+        run = write(tmp_path / "run.txt", "q1 Q0 d2 1 2.0 t\nq1 Q0 d1 1 1_000 t\n")
+        qrels = write(tmp_path / "qrels.txt", "q1 0 d1 1\n")
+        out = tmp_path / "report.tsv"
+        assert cli.main(["eval", "--run", run, "--qrels", qrels, "--metric", "mrr@10", "-o", str(out)]) == 2
+        assert f"{run}:2: score must be a number, got '1_000'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # grades whose NDCG gain, or whose ideal DCG, does not fit a float64
 OVERFLOWING_GRADES = {
@@ -614,6 +624,15 @@ class TestKappaCli:
         b = write(tmp_path / "b.tsv", "i2\tx\n")
         rc = cli.main(["kappa", "--labels", a, b, "-o", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_empty_label_is_parse_error(self, tmp_path, capsys):
+        # read as the label '', it gave kappa 0.1429 and exit 0
+        a = write(tmp_path / "a.tsv", "a\t\nb\ty\nc\ty\n")
+        b = write(tmp_path / "b.tsv", "a\tx\nb\ty\nc\tx\n")
+        rc = cli.main(["kappa", "--labels", a, b, "-o", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{a}:1: empty label" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_wrong_file_count_is_usage_error(self, tmp_path):
         a = write(tmp_path / "a.tsv", "i1\tx\n")

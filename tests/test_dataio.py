@@ -134,6 +134,18 @@ class TestParseQrels:
         with pytest.raises(ParseError):
             parse_qrels(write_text(tmp_path, "q.txt", "q1 0 d9\n"))
 
+    @pytest.mark.parametrize("grade", ["1_0", "\u0661", "\uff11"])
+    def test_grade_in_python_only_syntax_rejected(self, tmp_path, grade):
+        # int() reads '1_0' as 10 and the Arabic-Indic and fullwidth digits as 1
+        path = write_text(tmp_path, "q.txt", f"q1 0 d8 1\nq1 0 d9 {grade}\n")
+        with pytest.raises(ParseError) as exc:
+            parse_qrels(path)
+        assert str(exc.value) == f"{path}:2: relevance grade must be an integer, got {grade!r}"
+
+    def test_ids_keep_underscores_and_non_ascii(self, tmp_path):
+        qrels = parse_qrels(write_text(tmp_path, "q.txt", "q_1 0 d\u00e9_9 2\n"))
+        assert qrels.docs("q_1") == {"d\u00e9_9": 2}
+
     def test_negative_grade_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             parse_qrels(write_text(tmp_path, "q.txt", "q1 0 d9 -1\n"))
@@ -198,6 +210,24 @@ class TestParseRun:
         with pytest.raises(ParseError) as exc:
             parse_run(path)
         assert str(exc.value) == f"{path}:2: score must be a number, got 'abc'"
+
+    @pytest.mark.parametrize("rank, score, message", [
+        ("1", "1_000", "score must be a number, got '1_000'"),
+        ("1", "\uff12.5", "score must be a number, got '\uff12.5'"),
+        ("1_0", "2.5", "rank must be an integer, got '1_0'"),
+        ("\u0661", "2.5", "rank must be an integer, got '\u0661'"),
+    ])
+    def test_number_in_python_only_syntax_rejected(self, tmp_path, rank, score, message):
+        # float('1_000') is 1000, which would rank d1 above d2; trec_eval's atof reads 1
+        path = write_text(tmp_path, "r.txt", f"q1 Q0 d2 1 2.0 t\nq1 Q0 d1 {rank} {score} t\n")
+        with pytest.raises(ParseError) as exc:
+            parse_run(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
+    def test_ids_and_tag_keep_underscores_and_non_ascii(self, tmp_path):
+        run = parse_run(write_text(tmp_path, "r.txt", "q_1 Q0 d\u00e9_1 1 2.5 my_r\u00fcn\n"))
+        assert run.ranking("q_1") == (("d\u00e9_1", 2.5),)
+        assert run.tag == "my_r\u00fcn"
 
     def test_ordering_is_permutation_invariant(self, tmp_path, rng):
         lines = [
@@ -431,6 +461,18 @@ class TestEmbeddingsTsv:
     def test_inf_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             read_embeddings(write_text(tmp_path, "e.tsv", "a\t1 inf\n"))
+
+    @pytest.mark.parametrize("component", ["1_0", "\u0661", "\uff11.5"])
+    def test_component_in_python_only_syntax_rejected(self, tmp_path, component):
+        path = write_text(tmp_path, "e.tsv", f"a\t1 2\nb\t1 {component}\n")
+        with pytest.raises(ParseError) as exc:
+            read_embeddings(path)
+        assert str(exc.value) == f"{path}:2: vector components must be decimal floats"
+
+    def test_id_and_separators_keep_non_ascii(self, tmp_path):
+        # str.split() splits on the no-break space; only the components must be ASCII
+        es = read_embeddings(write_text(tmp_path, "e.tsv", "\u00e9_1\t1\u00a02\n"))
+        assert es == make_embeddings(["\u00e9_1"], [[1.0, 2.0]])
 
     def test_float32_overflow_rejected_at_line(self, tmp_path):
         # 1e39 is a finite float64 but inf once stored as float32
@@ -731,10 +773,10 @@ def test_text_parsers_total(data):
 
 
 # Line soups for the run and qrels readers: records from small pools (so that
-# pairs repeat, within a query and across its non-adjacent lines), odd but
-# valid numbers, and now and then a bad token, a wrong field count, a blank
-# or whitespace-only line, bad UTF-8, or whitespace that str.split() splits
-# on but that is no line break here.
+# pairs repeat, within a query and across its non-adjacent lines), odd numbers
+# ('1_0' and the Arabic-Indic '\u0663' are refused), and now and then a bad
+# token, a wrong field count, a blank or whitespace-only line, bad UTF-8, or
+# whitespace that str.split() splits on but that is no line break here.
 _SPACES = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
 _RANKS = ["1", "2", "3", "10", "-1", "1_0", "+5", "\u0663"]
 _SCORES = ["1", "2.5", "-0.0", "0.0", "1e-3", "7", "+5", "1_0", "-2"]
@@ -742,7 +784,7 @@ _BAD_TOKENS = ["nan", "NaN", "inf", "-Infinity", "1e999", "x", "1.5.2", "0x1", "
 _ODD_LINES = [b"", b"\r", b"\r\r", b" ", b"\t \r", b"\x85", b"\xff", b"\xe2\x82", b"q1 Q0 d\xc3 1 2 t", b"\xed\xa0\x80"]
 _QIDS, _DOCIDS = st.sampled_from(["q1", "q2", "q3"]), st.sampled_from([f"d{i}" for i in range(1, 10)])
 _RUN_FIELDS = st.tuples(_QIDS, st.sampled_from(["Q0", "0"]), _DOCIDS, st.sampled_from(_RANKS),
-                        st.sampled_from(_SCORES), st.sampled_from(["t", "run2"]))
+                        st.sampled_from(_SCORES), st.sampled_from(["t", "run2", "run_\u00e9"]))
 _QREL_FIELDS = st.tuples(_QIDS, st.just("0"), _DOCIDS, st.sampled_from(["0", "1", "2", "3", "7", "+5", "\u0663", "-1"]))
 
 

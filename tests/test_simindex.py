@@ -1,4 +1,6 @@
 import ast
+import functools
+import hashlib
 import os
 import re
 import subprocess
@@ -626,38 +628,76 @@ def test_rank_of_a_deeper_scan_is_knn(dim, n_base, n_test, data):
                             assert info.call_args_list[0] == info.call_args_list[1]
 
 
-_BLAS_THREADS_PROBE = """
+_KNN_KMEANS_PROBE = """
 import hashlib
 import numpy as np
 from xtrap.dataio import EmbeddingSet
+from xtrap.resample import KMeansConfig, kmeans
 from xtrap.simindex import MEASURES, knn
 
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
 rng = np.random.default_rng(7)
-train = EmbeddingSet([f"t{i}" for i in range(3000)], rng.integers(-3, 4, size=(3000, 96)).astype(np.float32))
-test = EmbeddingSet([f"q{i}" for i in range(200)], rng.integers(-3, 4, size=(200, 96)).astype(np.float32))
-for measure in MEASURES:
-    index, scores = knn(test, train, 50, measure=measure)
-    print(measure, hashlib.sha256(index.tobytes()).hexdigest(), hashlib.sha256(scores.tobytes()).hexdigest())
+for n_train, n_test, dim, k in ((3000, 200, 768, 50), (400, 20, 12000, 10)):
+    train = EmbeddingSet([f"t{i}" for i in range(n_train)], rng.standard_normal((n_train, dim), dtype=np.float32))
+    test = EmbeddingSet([f"q{i}" for i in range(n_test)], rng.standard_normal((n_test, dim), dtype=np.float32))
+    for measure in MEASURES:
+        print(dim, measure, digest(*knn(test, train, k, measure=measure)))
+    if dim == 768:
+        result = kmeans(train, KMeansConfig(k=5, seed=3, max_iters=10))
+        print(dim, "kmeans", result.iterations, digest(result.centroids, result.assignment, np.array(result.history)))
 """
 
 
-def test_knn_bitwise_for_any_blas_thread_count():
-    # the float32 screen's GEMM is threaded, so its rounding follows the
-    # thread count; the certified bound and the exact rescoring must not
-    # (OpenBLAS runs a float64 dot product of up to 10,000 elements on one thread)
-    env = dict(os.environ)
+def _simd_dispatch_names() -> str:
+    # numpy's dispatch list names the SIMD levels it may pick above its
+    # build's baseline, so disabling all of them works under any numpy
+    # version; the list is private, so only the case that needs it skips
+    # where it is gone
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        pytest.skip("numpy does not expose its SIMD dispatch list")
+    return " ".join(__cpu_dispatch__)
+
+
+# an environment value may be a function, called when its case runs
+_PROBE_ENVIRONMENTS = {
+    "default": {},
+    "one-blas-thread": {"OPENBLAS_NUM_THREADS": "1"},
+    **{f"openblas-{core.lower()}": {"OPENBLAS_CORETYPE": core} for core in ("Haswell", "SandyBridge", "Prescott")},
+    "numpy-simd-baseline": {"NPY_DISABLE_CPU_FEATURES": _simd_dispatch_names},
+}
+# sha256 of the probe's output, recorded under numpy 2.4.6
+_KNN_KMEANS_PROBE_SHA256 = "f52f999cd699fe56ae5dcfda5cb96a2f74616423ee68050141a98331968d431e"
+
+
+@functools.cache
+def _probe_output(name: str) -> str:
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env.update({key: value() if callable(value) else value for key, value in _PROBE_ENVIRONMENTS[name].items()})
     src = str(Path(xtrap.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    outputs = []
-    for threads in ("1", None):
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env, capture_output=True,
-                              text=True, check=True, timeout=120)
-        outputs.append(proc.stdout)
-    assert len(outputs[0].splitlines()) == len(MEASURES)
-    assert outputs[0] == outputs[1]
+    proc = subprocess.run([sys.executable, "-c", _KNN_KMEANS_PROBE], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", _PROBE_ENVIRONMENTS)
+def test_knn_and_kmeans_bitwise_for_any_blas_kernel_thread_count_or_simd_level(name):
+    # the float32 screens' GEMMs round by the BLAS kernel and thread count;
+    # the results must not: every exact float64 pass is summed in numpy's
+    # einsum loop, whatever SIMD level numpy dispatches to; at 12,000 dims
+    # OpenBLAS would split a float64 dot product over its threads
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "OPENBLAS_CORETYPE" in _PROBE_ENVIRONMENTS[name] and "DYNAMIC_ARCH" not in blas.get(
+            "openblas configuration", ""):
+        pytest.skip("OPENBLAS_CORETYPE selects a kernel only in a DYNAMIC_ARCH OpenBLAS")
+    output = _probe_output(name)
+    assert output == _probe_output("default")
+    assert hashlib.sha256(output.encode()).hexdigest() == _KNN_KMEANS_PROBE_SHA256, output
 
 
 @settings(max_examples=200, deadline=None)
