@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import _np as np
-from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _bad_number, _iter_lines, atomic_output
+from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, _float, _int, _iter_lines, atomic_output
 
 # values per row chunk of PCA's float64 passes; the covariance is summed
 # chunk by chunk, so the chunk size is part of its rounding
@@ -48,7 +48,7 @@ class GradeThreshold:
         if not sep:
             raise ValueError(f"bad threshold {text!r}, expected 'geq:N' or 'eq:N'")
         try:
-            return cls(mode=mode, value=int(value))
+            return cls(mode=mode, value=_int(value))
         except ValueError as e:
             raise ValueError(f"bad threshold {text!r}: {e}") from None
 
@@ -121,9 +121,7 @@ def read_pairs(path) -> list[tuple[str, float, float]]:
             raise ParseError(path, f"expected 'label<TAB>x<TAB>y', got {len(fields)} fields", lineno)
         label, xs, ys = fields
         try:
-            if _bad_number(xs + ys):
-                raise ValueError
-            x, y = float(xs), float(ys)
+            x, y = _float(xs), _float(ys)
         except ValueError:
             raise ParseError(path, "x and y must be decimal numbers", lineno) from None
         if not (math.isfinite(x) and math.isfinite(y)):

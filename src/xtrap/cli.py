@@ -62,9 +62,11 @@ def _read_aligned(args) -> tuple[dataio.QuerySet, dataio.QuerySet, dataio.Embedd
     """(train, test, train_emb, test_emb), each embedding set subset onto its
     query file as soon as it is read; the train side is read first."""
     train = dataio.parse_queries(args.train_queries)
-    train_emb = dataio.read_embeddings(args.train_emb).subset(train.ids)
+    with dataio._located(args.train_emb):
+        train_emb = dataio.read_embeddings(args.train_emb).subset(train.ids)
     test = dataio.parse_queries(args.test_queries)
-    test_emb = dataio.read_embeddings(args.test_emb).subset(test.ids)
+    with dataio._located(args.test_emb):
+        test_emb = dataio.read_embeddings(args.test_emb).subset(test.ids)
     return train, test, train_emb, test_emb
 
 
@@ -115,7 +117,7 @@ def cmd_resttest(args) -> int:
         normalize=args.normalize,
     )
     if args.k < 2:
-        raise ValueError("k must be >= 2: a single bucket leaves no training data")
+        raise ValueError(resample._SINGLE_BUCKET)
     _, _, train_emb, test_emb = _read_aligned(args)
     folds = resample.resttest_split(train_emb, test_emb, cfg)
     resample.write_manifest(folds, args.output)
@@ -126,7 +128,7 @@ def cmd_resttest(args) -> int:
 
 def _add_metric(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--metric", required=True, help="mrr@10, ndcg@10, or recall@100")
-    parser.add_argument("--rel-threshold", type=int, default=metrics.MetricSpec.rel_threshold,
+    parser.add_argument("--rel-threshold", type=dataio._int, default=metrics.MetricSpec.rel_threshold,
                         help="binarization grade (TREC DL convention: 2)")
     parser.add_argument("--gain", choices=metrics.GAINS, default=metrics.MetricSpec.gain, help="ndcg gain function")
 
@@ -243,14 +245,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("knn", help="exact top-k similar training queries per test query")
     p.add_argument("--test-emb", required=True, help="test query embeddings")
     p.add_argument("--train-emb", required=True, help="training query embeddings")
-    p.add_argument("-k", type=int, required=True, help="neighbors per test query")
+    p.add_argument("-k", type=dataio._int, required=True, help="neighbors per test query")
     _add_measure(p)
     _add_common(p)
     p.set_defaults(func=cmd_knn)
 
     p = sub.add_parser("candidates", help="annotation candidate pools (embedding + BM25 channels)")
     _add_resample_inputs(p)
-    p.add_argument("--per-channel", type=int, default=10, help="neighbors per channel")
+    p.add_argument("--per-channel", type=dataio._int, default=10, help="neighbors per channel")
     _add_measure(p)
     _add_common(p)
     p.set_defaults(func=cmd_candidates)
@@ -258,20 +260,21 @@ def build_parser() -> _Parser:
     p = sub.add_parser("restrain", help="resample the training set against a fixed test set")
     p.add_argument("--regime", choices=("inter", "extra"), required=True)
     _add_resample_inputs(p)
-    p.add_argument("-E", "--exclude-depth", type=int, default=resample.ReSTrainConfig.exclude_depth,
+    p.add_argument("-E", "--exclude-depth", type=dataio._int, default=resample.ReSTrainConfig.exclude_depth,
                    help="neighbors excluded per test query (extrapolation)")
-    p.add_argument("--size", type=int, required=True, help="target training set size")
-    p.add_argument("--seed", type=int, default=resample.ReSTrainConfig.seed)
+    p.add_argument("--size", type=dataio._int, required=True, help="target training set size")
+    p.add_argument("--seed", type=dataio._int, default=resample.ReSTrainConfig.seed)
     _add_measure(p)
     _add_common(p)
     p.set_defaults(func=cmd_restrain)
 
     p = sub.add_parser("resttest", help="k-means bucket folds over train and test queries")
     _add_resample_inputs(p)
-    p.add_argument("-k", type=int, default=resample.KMeansConfig.k, help="bucket count")
-    p.add_argument("--seed", type=int, default=resample.KMeansConfig.seed)
-    p.add_argument("--max-iters", type=int, default=resample.KMeansConfig.max_iters)
-    p.add_argument("--tol", type=float, default=resample.KMeansConfig.tol, help="centroid-shift stopping tolerance")
+    p.add_argument("-k", type=dataio._int, default=resample.KMeansConfig.k, help="bucket count")
+    p.add_argument("--seed", type=dataio._int, default=resample.KMeansConfig.seed)
+    p.add_argument("--max-iters", type=dataio._int, default=resample.KMeansConfig.max_iters)
+    p.add_argument("--tol", type=dataio._float, default=resample.KMeansConfig.tol,
+                   help="centroid-shift stopping tolerance")
     p.add_argument("--normalize", action="store_true", help="L2-normalize vectors before clustering")
     _add_common(p)
     p.set_defaults(func=cmd_resttest)

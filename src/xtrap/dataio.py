@@ -22,9 +22,12 @@ of whole lines, split on ``\\n`` only; one leading UTF-8 byte-order mark is
 dropped, so the query, qrels and run writers refuse a first id that starts
 with U+FEFF.
 
-Readers check syntax (field counts, numbers, UTF-8, the EVEC layout); a
-number field holds no '_' and no non-ASCII character, which int() and
-float() would read. The containers check the record rules:
+Readers check syntax (field counts, numbers, UTF-8, the EVEC layout). One
+rule, :func:`_bad_number`, decides what a number is wherever one is read
+from outside (a file field, a manifest header, a command-line option): no
+'_' and no non-ASCII character, which int() and float() would read.
+:func:`_int` and :func:`_float` apply it. The containers check the record
+rules:
 
 - :class:`QuerySet`, :class:`EmbeddingSet`: unique whitespace-free ids;
   :class:`EmbeddingSet` also finite components
@@ -73,8 +76,20 @@ def _bad_id(value: str) -> bool:
 def _bad_number(text: str) -> bool:
     """Whether number fields hold what int() and float() read but C's strtol
     and strtod, as in trec_eval, do not: a digit-group '_' or a non-ASCII
-    character, such as the digits '١' and '１'."""
+    character, such as the digits '١' and '１', which `_int` and `_float` refuse."""
     return "_" in text or not text.isascii()
+
+
+def _int(text: str) -> int:
+    if _bad_number(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    if _bad_number(text):
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 @contextlib.contextmanager
@@ -468,9 +483,7 @@ def parse_qrels(path) -> QrelSet:
                     raise ParseError(path, f"expected 'qid 0 docid rel' (4 fields), got {len(fields)}", lineno)
                 qid, _, docid, rel_s = fields
                 try:
-                    if _bad_number(rel_s):
-                        raise ValueError
-                    rel = int(rel_s)
+                    rel = _int(rel_s)
                 except ValueError:
                     message = f"relevance grade must be an integer, got {rel_s!r}"
                     raise ParseError(path, message, lineno) from None
@@ -525,15 +538,11 @@ def parse_run(path) -> RunSet:
                     )
                 qid, _, docid, rank_s, score_s, line_tag = fields
                 try:
-                    if _bad_number(rank_s):
-                        raise ValueError
-                    rank = int(rank_s)
+                    rank = _int(rank_s)
                 except ValueError:
                     raise ParseError(path, f"rank must be an integer, got {rank_s!r}", lineno) from None
                 try:
-                    if _bad_number(score_s):
-                        raise ValueError
-                    score = float(score_s)
+                    score = _float(score_s)
                 except ValueError:
                     raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None
                 if not isfinite(score):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .dataio import DataError, QrelSet, RunSet, atomic_output
+from .dataio import DataError, QrelSet, RunSet, _int, atomic_output
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +61,7 @@ class MetricSpec:
         cutoff = None
         if sep:
             try:
-                cutoff = int(cut)
+                cutoff = _int(cut)
             except ValueError:
                 raise ValueError(f"bad cutoff in metric {text!r}") from None
         return cls(kind=kind, cutoff=cutoff, **fields)

@@ -36,13 +36,15 @@ from typing import Iterable, Sequence
 
 from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
-from .dataio import _index_ids, _iter_lines, _located, atomic_output
+from .dataio import _index_ids, _int, _iter_lines, _located, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run
 from .simindex import _BLOCK_ELEMENTS, _check_measure, _check_query_sets, _rounding_bounds, knn
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "pcg64"
+
+_SINGLE_BUCKET = "k must be >= 2: a single bucket leaves no training data"
 
 # rows per block of the assignment screen: per GEMM call, and per block of
 # its float64 per-pair temporaries; a call over fewer rows touches less of
@@ -164,7 +166,7 @@ class FoldSpec:
 
     def __post_init__(self):
         if self.k < 2:
-            raise DataError("k must be >= 2: a single bucket leaves no training data")
+            raise DataError(_SINGLE_BUCKET)
         if len(self.buckets) != self.k:
             raise DataError(f"expected {self.k} buckets, got {len(self.buckets)}")
         _index_ids(self.train_ids, "[training]")
@@ -434,7 +436,7 @@ def restrain_extrapolation(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg:
 def resttest_split(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: KMeansConfig) -> FoldSpec:
     """Cluster training and test queries together and derive leave-one-bucket-out folds."""
     if cfg.k < 2:
-        raise ValueError("k must be >= 2: a single bucket leaves no training data")
+        raise ValueError(_SINGLE_BUCKET)
     _check_query_sets(train_emb, test_emb)
     if train_emb.dim != test_emb.dim:
         raise DataError(f"dimension mismatch: train dim {train_emb.dim}, test dim {test_emb.dim}")
@@ -606,9 +608,11 @@ def read_manifest(path) -> SplitSpec | FoldSpec:
         if "k" not in headers:
             raise ParseError(path, "missing #k header")
         try:
-            k = int(headers.pop("k"))
+            k = _int(headers.pop("k"))
         except ValueError:
             raise ParseError(path, "#k must be an integer", header_lines["k"]) from None
+        if k < 2:
+            raise ParseError(path, _SINGLE_BUCKET, header_lines["k"])
         # with k >= len(sections) some bucket below len(sections) is missing,
         # so the list stays no longer than the file
         names = ["training", *(f"bucket {b}" for b in range(min(k, len(sections))))]

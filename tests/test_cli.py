@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import logging
@@ -462,6 +463,71 @@ def test_negative_seed_fails_before_reading(tmp_path, capsys, name):
     assert not out.exists()
 
 
+# every option and spec that turns command-line text into a number, as the
+# argv around the value; "-" names a missing input, so that exit 1 can come
+# only from the parse, before any file is read
+RESAMPLE_INPUTS = ["--train-queries", "-", "--test-queries", "-", "--train-emb", "-", "--test-emb", "-"]
+NUMBER_OPTIONS = {
+    "knn -k": ["knn", "--test-emb", "-", "--train-emb", "-", "-k", "{}"],
+    "candidates --per-channel": ["candidates", *RESAMPLE_INPUTS, "--per-channel", "{}"],
+    "restrain -E": ["restrain", "--regime", "extra", *RESAMPLE_INPUTS, "--size", "5", "-E", "{}"],
+    "restrain --size": ["restrain", "--regime", "inter", *RESAMPLE_INPUTS, "--size", "{}"],
+    "restrain --seed": ["restrain", "--regime", "inter", *RESAMPLE_INPUTS, "--size", "5", "--seed", "{}"],
+    "resttest -k": ["resttest", *RESAMPLE_INPUTS, "-k", "{}"],
+    "resttest --seed": ["resttest", *RESAMPLE_INPUTS, "--seed", "{}"],
+    "resttest --max-iters": ["resttest", *RESAMPLE_INPUTS, "--max-iters", "{}"],
+    "resttest --tol": ["resttest", *RESAMPLE_INPUTS, "--tol", "{}"],
+    "eval --rel-threshold": ["eval", "--run", "-", "--qrels", "-", "--metric", "mrr@10", "--rel-threshold", "{}"],
+    "eval --metric": ["eval", "--run", "-", "--qrels", "-", "--metric", "ndcg@{}"],
+    "overlap --thresholds": ["overlap", "--test-qrels", "-", "--train-qrels", "-", "--thresholds", "geq:1,eq:{}"],
+}
+# what int() and float() read but C's strtol and strtod, and the file readers, do not
+PYTHON_ONLY_NUMBERS = {"underscore": "1_0", "fullwidth": "\uff12", "arabic-indic": "\u0661"}
+
+
+@pytest.mark.parametrize("value", PYTHON_ONLY_NUMBERS.values(), ids=PYTHON_ONLY_NUMBERS)
+@pytest.mark.parametrize("name", NUMBER_OPTIONS)
+def test_number_options_refuse_python_only_syntax(tmp_path, capsys, name, value):
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "missing") if a == "-" else a.format(value) for a in NUMBER_OPTIONS[name]]
+    try:
+        rc = cli.main([*argv, "-o", str(out)])
+    except SystemExit as e:  # argparse refuses an option's value
+        rc = e.code
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and value in err
+    assert not out.exists()
+
+
+def test_no_option_uses_the_builtin_number_types():
+    # int and float read '1_0' and non-ASCII digits; every option goes through dataio's rule
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            assert action.type not in (int, float), f"{name} {action.option_strings}"
+
+
+# a fold manifest's #k value and the error it gives at its line
+MANIFEST_K_ERRORS = {
+    **{name: (value, "#k must be an integer") for name, value in PYTHON_ONLY_NUMBERS.items()},
+    **{f"k={k}": (k, "k must be >= 2: a single bucket leaves no training data") for k in ("1", "0", "-1")},
+}
+
+
+@pytest.mark.parametrize("name", MANIFEST_K_ERRORS)
+def test_manifest_k_errors_are_at_the_header_line(tmp_path, capsys, name):
+    k, message = MANIFEST_K_ERRORS[name]
+    manifest = write(tmp_path / "m.txt", f"#regime=resttest\n#k={k}\n[training]\n[bucket 0]\nq0\n[bucket 1]\nq1\n")
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out"
+    argv = ["aggregate", "--manifest", manifest, "--qrels", missing, "--runs", missing, missing]
+    assert cli.main([*argv, "--metric", "mrr@10", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"xtrap: data error: {manifest}:2: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", RESAMPLE_RUNS)
 def test_resampling_rejects_shared_id(tmp_path, rng, capsys, name):
     # t00 is both a training and a test query. As a training query it is the
@@ -500,12 +566,15 @@ def test_embedding_files_are_aligned_with_query_files(tmp_path, rng, capsys, nam
     assert run_resample(RESAMPLE_RUNS[name], files, shuffled) == 0
     assert shuffled.read_bytes() == aligned.read_bytes()
 
-    emb = read_embeddings(files["test_e"])
-    rows = [j for j, i in enumerate(emb.ids) if i != "q2"]
-    files["test_e"] = emb_file(tmp_path, "missing.evec", [emb.ids[j] for j in rows], emb.matrix[rows])
-    capsys.readouterr()
-    assert run_resample(RESAMPLE_RUNS[name], files, tmp_path / "missing.out") == 2
-    assert "xtrap: data error: no embedding for id q2" in capsys.readouterr().err
+    # an id missing from either embedding file is reported at that file
+    for key, missing in (("train_e", "t03"), ("test_e", "q2")):
+        emb = read_embeddings(files[key])
+        rows = [j for j, i in enumerate(emb.ids) if i != missing]
+        path = emb_file(tmp_path, f"missing-{key}.evec", [emb.ids[j] for j in rows], emb.matrix[rows])
+        lacking = {**files, key: path}
+        capsys.readouterr()
+        assert run_resample(RESAMPLE_RUNS[name], lacking, tmp_path / "missing.out") == 2
+        assert f"xtrap: data error: {path}: no embedding for id {missing}\n" in capsys.readouterr().err
 
 
 # manifests that are well formed line by line but break a rule of the fold
@@ -515,8 +584,6 @@ SPEC_RULE_BREAKS = {
                      "buckets must partition the queries; found a duplicate id q0"),
     "unbucketed-training-id": ("aggregate", "#regime=resttest\n#k=2\n[training]\nb\n[bucket 0]\nq0\n[bucket 1]\nq1\n",
                                "training ids missing from buckets: ['b']"),
-    "k=1": ("aggregate", "#regime=resttest\n#k=1\n[training]\n[bucket 0]\nq0\n",
-            "k must be >= 2: a single bucket leaves no training data"),
     "shared-id": ("pca", "#regime=interpolation\n#seed=1\n[training]\nt1\n[test-interpolation]\nt1\n",
                   "training and test ids overlap: ['t1']"),
 }

@@ -47,6 +47,21 @@ def write_text(tmp_path, name, content):
     return path
 
 
+@pytest.mark.parametrize("name, builtin, refusal", [
+    ("_int", int, "invalid literal for int() with base 10: {!r}"),
+    ("_float", float, "could not convert string to float: {!r}"),
+])
+def test_number_helpers_are_the_builtins_under_the_number_rule(name, builtin, refusal):
+    parse = getattr(dataio, name)
+    for text in ["7", "-3", " 12 ", "+0"]:
+        assert type(parse(text)) is builtin and parse(text) == builtin(text)
+    # the builtin's own message for what both refuse and for what only the rule refuses
+    for text in ["x", "1_0", "\u0661", "\uff12"]:
+        with pytest.raises(ValueError) as exc:
+            parse(text)
+        assert str(exc.value) == refusal.format(text)
+
+
 class TestParseQueries:
     def test_single_record(self, tmp_path):
         qs = parse_queries(write_text(tmp_path, "q.tsv", "7\thow tall is everest\n"))

@@ -894,6 +894,8 @@ class TestManifest:
         ("#regime=interpolation\n#seed=1\n#seed=2\n[training]\n", ":3", "duplicate header #seed"),
         ("#regime=extrapolation\n#regime=interpolation\n[training]\n", ":2", "duplicate header #regime"),
         ("#regime=resttest\n#k=x\n[training]\n", ":2", "#k must be an integer"),
+        *((f"#regime=resttest\n#k={k}\n[training]\n[bucket 0]\na\n[bucket 1]\nb\n", ":2",
+           "k must be >= 2: a single bucket leaves no training data") for k in ("1", "0", "-1")),
         ("#regime=sideways\n[training]\n", ":1", "unknown regime 'sideways'"),
     ])
     def test_malformed_manifest_messages(self, tmp_path, text, where, message):
