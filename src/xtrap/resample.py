@@ -38,7 +38,7 @@ from . import _np as np
 from .dataio import DataError, EmbeddingSet, ParseError, QrelSet, RunSet
 from .dataio import _index_ids, _int, _iter_lines, _located, atomic_output
 from .metrics import MetricSpec, evaluable, mean_by_query, score_run
-from .simindex import _BLOCK_ELEMENTS, _check_measure, _check_query_sets, _rounding_bounds, knn
+from .simindex import _BLOCK_ELEMENTS, _check_measure, _check_query_sets, _rounding_bounds, _rowdot, knn
 
 logger = logging.getLogger(__name__)
 
@@ -210,14 +210,14 @@ def _sq_distances(X: np.ndarray, rows: np.ndarray, centroid: np.ndarray) -> np.n
 
     The float32 rows are not copied to float64: subtracting the broadcast
     centroid casts each element exactly, so a row's distance is the same
-    float64 `einsum` over its own difference vector whatever the blocking.
+    `_rowdot` of its own difference vector whatever the blocking.
     """
     out = np.empty(len(rows), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // X.shape[1])
     for lo in range(0, len(rows), step):
         block = slice(lo, lo + step)
         diff = X[rows[block]] - centroid
-        out[block] = np.einsum("ij,ij->i", diff, diff)
+        out[block] = _rowdot(diff, diff)
     return out
 
 
@@ -235,7 +235,7 @@ def _assign(
     """
     n, dim = X.shape
     gamma, tiny = _rounding_bounds(dim)
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    c_sq = _rowdot(centroids, centroids)
     c_norms = np.sqrt(c_sq)
     c32 = centroids.astype(np.float32).T
     assignment = np.empty(n, dtype=np.intp)
@@ -321,13 +321,13 @@ def kmeans(points: EmbeddingSet, cfg: KMeansConfig) -> KMeansResult:
         raise DataError(f"k={cfg.k} exceeds the number of points ({n})")
     X = points.matrix
     if cfg.normalize:
-        norms = np.sqrt(np.einsum("ij,ij->i", X, X, dtype=np.float64))
+        norms = np.sqrt(_rowdot(X, X))
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise DataError(f"cannot normalize zero vector for id {points.ids[zero[0]]}")
         # a buffered divide: each float64 quotient is rounded into the float32 output
         X = np.divide(X, norms[:, None], out=np.empty_like(X))
-    sq_norms = np.einsum("ij,ij->i", X, X, dtype=np.float64)
+    sq_norms = _rowdot(X, X)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     centroids = _kmeanspp_init(X, cfg.k, rng)

@@ -15,9 +15,9 @@ columns by `divmod`, which is far cheaper than a 2-D `np.nonzero` and gives
 the same row-major order. Only the survivors are rescored in float64, one
 dot product per pair over row blocks of pairs, and one `lexsort` ranks them,
 ties by ascending neighbor id. Every score is the float64 dot product of the
-two vectors (of the unit vectors for cosine), summed by numpy's einsum loop in
-an order fixed by the length, whatever the blocks, row order, BLAS kernel or
-thread count; BLAS, whose sums follow its CPU kernel, runs only float32 screens.
+two vectors (of the unit vectors for cosine), summed by `_rowdot` in an order
+fixed by the length, whatever the blocks, row order, BLAS kernel or thread
+count; BLAS, whose sums follow its CPU kernel, runs only float32 screens.
 `knn` is a scan (`_scan`) and a rank (`_rank`): a scan to depth D ranks every
 k <= D exactly as `knn(k)` does, rescoring the same pairs when the blocks match.
 The lexical channel is a small in-memory inverted index over the training
@@ -48,6 +48,9 @@ _BLOCK_ELEMENTS = 48 * 1024
 # float32 score elements per kNN block for any n_test (a block is at least k
 # rows): its scores and _top_k's partition copy take 8 bytes each (256 MiB)
 _KNN_BLOCK_ELEMENTS = 32 * 1024 * 1024
+# einsum's internal buffer, fixed at 8,192 elements whatever np.setbufsize says:
+# it chunks a longer row's sum only in a cast or a one-row call, so `_rowdot` always does
+_ROWDOT_CHUNK = 8192
 
 _BM25_K1 = 1.2
 _BM25_B = 0.75
@@ -91,6 +94,15 @@ def _rounding_bounds(dim: int) -> tuple[float, float]:
     return gamma * (1.0 + 2.0**-20), dim * 2.0**-149
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The float64 dot product of each row pair, summed per `_ROWDOT_CHUNK` columns
+    in column order, so a row's value follows only its length, not its call."""
+    out = np.einsum("ij,ij->i", a[:, :_ROWDOT_CHUNK], b[:, :_ROWDOT_CHUNK], dtype=np.float64)
+    for lo in range(_ROWDOT_CHUNK, a.shape[1], _ROWDOT_CHUNK):
+        out += np.einsum("ij,ij->i", a[:, lo:lo + _ROWDOT_CHUNK], b[:, lo:lo + _ROWDOT_CHUNK], dtype=np.float64)
+    return out
+
+
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """The k largest values along the last axis, in no particular order
     (kNN's floor starts from the least of them); a row of at most k values
@@ -102,7 +114,7 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 # what `_scan` returns and `_rank` reads
-_Pool = namedtuple("_Pool", "train queries cosine best_low rows cols high")
+_Pool = namedtuple("_Pool", "train train_norms queries cosine best_low rows cols high")
 
 
 def knn(
@@ -144,8 +156,8 @@ def _scan(test: EmbeddingSet, train: EmbeddingSet, depth: int, measure: str) -> 
     cosine = measure == "cosine"
     queries = test.matrix.astype(np.float64)
     # a query's norm is the same per-vector dot product that scores a pair
-    query_norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    train_norms = np.sqrt(np.einsum("ij,ij->i", train.matrix, train.matrix, dtype=np.float64))
+    query_norms = np.sqrt(_rowdot(queries, queries))
+    train_norms = np.sqrt(_rowdot(train.matrix, train.matrix))
     if cosine:
         for what, ids, norms in (("test", test.ids, query_norms), ("train", train.ids, train_norms)):
             zero = np.flatnonzero(norms == 0.0)
@@ -221,7 +233,7 @@ def _scan(test: EmbeddingSet, train: EmbeddingSet, depth: int, measure: str) -> 
         del scores  # before the next GEMM allocates its block
 
     rows, cols, high = (np.concatenate(found) for found in (found_rows, found_cols, found_high))
-    return _Pool(train, queries, cosine, best_low, rows, cols, high)
+    return _Pool(train, train_norms, queries, cosine, best_low, rows, cols, high)
 
 
 def _rank(pool: _Pool, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +241,7 @@ def _rank(pool: _Pool, k: int) -> tuple[np.ndarray, np.ndarray]:
     floor is the k-th largest lower bound of all columns at any depth, so
     the prune keeps the pairs of a depth-k scan over the same blocks (as
     when the depth is within the block budget's rows)."""
-    train, queries, cosine, best_low, rows, cols, high = pool
+    train, train_norms, queries, cosine, best_low, rows, cols, high = pool
     n_test, dim = queries.shape
     # prune once more, against the depth-k floor
     keep = high >= _top_k(best_low, k).min(axis=1)[rows]
@@ -244,9 +256,9 @@ def _rank(pool: _Pool, k: int) -> tuple[np.ndarray, np.ndarray]:
         pairs = slice(lo, lo + step)
         vecs = train.matrix[cols[pairs]].astype(np.float64)
         if cosine:
-            vecs /= np.sqrt(np.einsum("ij,ij->i", vecs, vecs))[:, None]
+            vecs /= train_norms[cols[pairs], None]  # the unit vectors of the scan's norms
         # one dot product per pair: a gemv rounds a row by its batch position
-        exact[pairs] = np.einsum("ij,ij->i", vecs, queries[rows[pairs]])
+        exact[pairs] = _rowdot(vecs, queries[rows[pairs]])
     # by query, score descending, then ascending id; a query keeps >= k survivors
     counts = np.bincount(rows, minlength=n_test)
     top = np.lexsort((train.id_rank[cols], -exact, rows))[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]

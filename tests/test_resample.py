@@ -265,6 +265,25 @@ def test_kmeans_matches_float64_lloyd_oracle_on_anisotropic_embeddings(seed, dim
             assert got.iterations == want[3]
 
 
+@pytest.mark.parametrize("dim", [12000, 24577])
+def test_kmeans_bitwise_for_any_block_size_above_the_einsum_buffer(dim):
+    # einsum sums a row of more than 8,192 elements in one pass when the call
+    # holds two or more float64 rows; the oracle's one call over all rows
+    # does so too, so only the block sizes are compared here
+    points = random_embeddings(np.random.default_rng(dim), "p", 40, dim)
+    for normalize in (False, True):
+        results = set()
+        # blocks of one row and of seven rows, then the default blocks
+        for block_rows in (1, 7, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if block_rows is not None:
+                    mp.setattr("xtrap.resample._SCREEN_ROWS", block_rows)
+                    mp.setattr("xtrap.resample._BLOCK_ELEMENTS", block_rows * dim)
+                got = kmeans(points, KMeansConfig(k=3, seed=dim, normalize=normalize))
+            results.add((got.assignment.tobytes(), got.centroids.tobytes(), np.array(got.history).tobytes()))
+        assert len(results) == 1
+
+
 def test_kmeans_tol_stops_before_the_fixpoint():
     # seed 8 picks the points 5 and 7; 0..6 go to 5 (6 ties, the lower index
     # wins) and 7 to 7. Iteration 1 moves the centroids to 3 and 7, a shift

@@ -628,6 +628,37 @@ def test_rank_of_a_deeper_scan_is_knn(dim, n_base, n_test, data):
                             assert info.call_args_list[0] == info.call_args_list[1]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [8192, 8193, 16385, 24577])
+def test_rowdot_of_a_row_follows_only_its_length(dtype, dim):
+    # einsum sums a row of more than 8,192 elements in one pass when the call
+    # holds two or more float64 rows, and in 8,192-element chunks otherwise
+    rng = np.random.default_rng(dim)
+    a, b = (rng.standard_normal((12, dim)).astype(dtype) for _ in range(2))
+    want = [np.einsum("i,i->", x.astype(np.float64), y.astype(np.float64)) for x, y in zip(a, b)]
+    for rows in (1, 2, 5, 12):
+        got = np.concatenate([simindex._rowdot(a[lo:lo + rows], b[lo:lo + rows]) for lo in range(0, 12, rows)])
+        assert got.tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dim", [8193, 12000, 24577])
+def test_knn_matches_oracle_and_any_block_size_above_the_einsum_buffer(dim):
+    rng = np.random.default_rng(dim)
+    train = random_embeddings(rng, "t", 30, dim)
+    test = random_embeddings(rng, "q", 3, dim)
+    for measure in MEASURES:
+        results = set()
+        # rescoring blocks of one pair, of five pairs and the default
+        for rescore in (dim, 5 * dim, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if rescore is not None:
+                    mp.setattr("xtrap.simindex._BLOCK_ELEMENTS", rescore)
+                results.add(b"".join(a.tobytes() for a in knn(test, train, 10, measure=measure)))
+        assert len(results) == 1
+        want = oracles.knn_all_pairs(test.ids, test.matrix, train.ids, train.matrix, 10, measure)
+        assert knn_lists(test, train, 10, measure=measure) == want
+
+
 _KNN_KMEANS_PROBE = """
 import hashlib
 import numpy as np
@@ -644,9 +675,8 @@ for n_train, n_test, dim, k in ((3000, 200, 768, 50), (400, 20, 12000, 10)):
     test = EmbeddingSet([f"q{i}" for i in range(n_test)], rng.standard_normal((n_test, dim), dtype=np.float32))
     for measure in MEASURES:
         print(dim, measure, digest(*knn(test, train, k, measure=measure)))
-    if dim == 768:
-        result = kmeans(train, KMeansConfig(k=5, seed=3, max_iters=10))
-        print(dim, "kmeans", result.iterations, digest(result.centroids, result.assignment, np.array(result.history)))
+    result = kmeans(train, KMeansConfig(k=5, seed=3, max_iters=10))
+    print(dim, "kmeans", result.iterations, digest(result.centroids, result.assignment, np.array(result.history)))
 """
 
 
@@ -670,7 +700,7 @@ _PROBE_ENVIRONMENTS = {
     "numpy-simd-baseline": {"NPY_DISABLE_CPU_FEATURES": _simd_dispatch_names},
 }
 # sha256 of the probe's output, recorded under numpy 2.4.6
-_KNN_KMEANS_PROBE_SHA256 = "f52f999cd699fe56ae5dcfda5cb96a2f74616423ee68050141a98331968d431e"
+_KNN_KMEANS_PROBE_SHA256 = "c0401aa04b96fa97074a6079ae6fdd865de4b953c3652a86333b783531fc9636"
 
 
 @functools.cache
@@ -688,9 +718,9 @@ def _probe_output(name: str) -> str:
 @pytest.mark.parametrize("name", _PROBE_ENVIRONMENTS)
 def test_knn_and_kmeans_bitwise_for_any_blas_kernel_thread_count_or_simd_level(name):
     # the float32 screens' GEMMs round by the BLAS kernel and thread count;
-    # the results must not: every exact float64 pass is summed in numpy's
-    # einsum loop, whatever SIMD level numpy dispatches to; at 12,000 dims
-    # OpenBLAS would split a float64 dot product over its threads
+    # the results must not: every exact float64 pass is summed by `_rowdot`
+    # in numpy's einsum loop, whatever SIMD level numpy dispatches to; at
+    # 12,000 dims OpenBLAS would split a float64 dot product over its threads
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "OPENBLAS_CORETYPE" in _PROBE_ENVIRONMENTS[name] and "DYNAMIC_ARCH" not in blas.get(
             "openblas configuration", ""):
@@ -773,6 +803,25 @@ def test_only_top_k_partitions():
             )
             if not str_method:
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_rowdot_sums_exact_dot_products():
+    # every exact float64 score, norm and distance of kNN and k-means is
+    # `_rowdot`'s: einsum is called only inside it, and no BLAS dot product
+    # (whose sums follow the CPU kernel and thread count) at all
+    offenders = []
+    for name in ("simindex.py", "resample.py"):
+        tree = ast.parse((Path(xtrap.__file__).parent / name).read_text(encoding="utf-8"))
+        allowed = {id(n) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   and node.name == "_rowdot" for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in ("vecdot", "dot", "inner") or (called == "einsum" and id(node) not in allowed):
+                offenders.append(f"{name}:{node.lineno}: {called}")
     assert offenders == []
 
 
