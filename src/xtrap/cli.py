@@ -221,9 +221,6 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    emb = dataio.read_embeddings(args.emb)
-    with dataio._located(args.emb):
-        coords = analysis.pca_project(emb, out_dims=2)
     groups: dict[str, str] | None = None
     if args.manifest:
         spec = resample.read_manifest(args.manifest)
@@ -233,6 +230,9 @@ def cmd_pca(args) -> int:
             groups.update({i: "test" for i in spec.test_ids})
         else:
             groups = {i: f"bucket-{b}" for i, b in spec.bucket_of.items()}
+    emb = dataio.read_embeddings(args.emb)
+    with dataio._located(args.emb):
+        coords = analysis.pca_project(emb, out_dims=2)
     analysis.write_pca_projection(emb.ids, coords, groups, args.output)
     print(f"projected {len(coords)} embeddings to 2 dims -> {args.output}")
     return EXIT_OK

@@ -438,8 +438,6 @@ def resttest_split(train_emb: EmbeddingSet, test_emb: EmbeddingSet, cfg: KMeansC
     if cfg.k < 2:
         raise ValueError(_SINGLE_BUCKET)
     _check_query_sets(train_emb, test_emb)
-    if train_emb.dim != test_emb.dim:
-        raise DataError(f"dimension mismatch: train dim {train_emb.dim}, test dim {test_emb.dim}")
     combined = EmbeddingSet(train_emb.ids + test_emb.ids, np.vstack([train_emb.matrix, test_emb.matrix]))
     assignment = kmeans(combined, cfg).assignment
     # a stable sort keeps training ids first and each group in row order

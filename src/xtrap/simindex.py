@@ -61,11 +61,21 @@ def _check_measure(measure: str) -> None:
         raise ValueError(f"unknown similarity measure {measure!r}")
 
 
+def _check_train(test: EmbeddingSet, train: EmbeddingSet) -> None:
+    """What every comparison of a test set with a training set needs: a
+    training set that is not empty and has the test set's dimension."""
+    if len(train) == 0:
+        raise DataError("training set is empty")
+    if test.dim != train.dim:
+        raise DataError(f"dimension mismatch: test dim {test.dim}, train dim {train.dim}")
+
+
 def _check_query_sets(train_emb: EmbeddingSet, test_emb: EmbeddingSet) -> None:
-    """The input rule of resampling and candidate pools: a test set that is
-    not empty and shares no id with the training set."""
+    """The input rule of resampling and candidate pools, in this order: a non-empty
+    test set, a non-empty training set of its dimension, and no id in both sets."""
     if len(test_emb) == 0:
         raise DataError("test set is empty")
+    _check_train(test_emb, train_emb)
     overlap = set(test_emb.ids).intersection(train_emb.ids)
     if overlap:
         raise DataError(f"train and test query ids overlap: {sorted(overlap)[:5]}")
@@ -132,14 +142,11 @@ def knn(
     ties break by ascending neighbor id.
     """
     _check_measure(measure)
-    n_train = len(train)
     # before the k check: a caller capping k at the training size passes k=0
-    if n_train == 0:
-        raise DataError("training embedding set is empty")
+    _check_train(test, train)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if test.dim != train.dim:
-        raise DataError(f"dimension mismatch: test dim {test.dim}, train dim {train.dim}")
+    n_train = len(train)
     if k > n_train:
         logger.warning("k=%d exceeds training set size %d; returning all neighbors", k, n_train)
         k = n_train
@@ -320,12 +327,9 @@ def bm25_search(index: Bm25Index, query_text: str, k: int) -> tuple[tuple[str, f
         scores[ordinals] += idf * tfs * (_BM25_K1 + 1.0) / (tfs + norm)
     top = np.flatnonzero(scores > 0.0)
     if top.size > k:
-        # every doc above the k-th score, then the lowest-ordinal docs tied at it
-        values = scores[top]
-        kth = _top_k(values, k).min()
-        above, tied = values > kth, values == kth
-        top = top[above | (tied & (np.cumsum(tied) <= k - np.count_nonzero(above)))]
-    top = top[np.argsort(-scores[top], kind="stable")]
+        top = top[scores[top] >= _top_k(scores[top], k).min()]
+    # score descending, then ascending ordinal, which is ascending doc id
+    top = top[np.lexsort((top, -scores[top]))[:k]]
     return tuple((index.doc_ids[o], float(scores[o])) for o in top)
 
 

@@ -528,6 +528,16 @@ def test_manifest_k_errors_are_at_the_header_line(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_pca_reads_the_manifest_before_the_embeddings(tmp_path, capsys):
+    # the embedding file does not exist: a bad manifest is reported before any read of it
+    manifest = write(tmp_path / "m.txt", "#regime=resttest\n#k=1\n[training]\n[bucket 0]\nq0\n")
+    out = tmp_path / "out"
+    assert cli.main(["pca", "--emb", str(tmp_path / "missing.evec"), "--manifest", manifest, "-o", str(out)]) == 2
+    message = "k must be >= 2: a single bucket leaves no training data"
+    assert capsys.readouterr().err == f"xtrap: data error: {manifest}:2: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", RESAMPLE_RUNS)
 def test_resampling_rejects_shared_id(tmp_path, rng, capsys, name):
     # t00 is both a training and a test query. As a training query it is the
@@ -545,10 +555,24 @@ def test_resampling_rejects_shared_id(tmp_path, rng, capsys, name):
 
 @pytest.mark.parametrize("name", RESAMPLE_RUNS)
 def test_resampling_rejects_empty_test_set(tmp_path, rng, capsys, name):
-    files = restrain_inputs(tmp_path, rng)
-    files["test_q"] = write(tmp_path / "empty.tsv", "")
-    assert run_resample(RESAMPLE_RUNS[name], files, tmp_path / "out") == 2
-    assert "xtrap: data error: test set is empty" in capsys.readouterr().err
+    # and an empty training set: every command gives each the same one message
+    for side in ("test", "training"):
+        files = restrain_inputs(tmp_path, rng)
+        files["test_q" if side == "test" else "train_q"] = write(tmp_path / "empty.tsv", "")
+        out = tmp_path / "out"
+        assert run_resample(RESAMPLE_RUNS[name], files, out) == 2
+        assert capsys.readouterr().err == f"xtrap: data error: {side} set is empty\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", RESAMPLE_RUNS)
+def test_resampling_rejects_dimension_mismatch(tmp_path, rng, capsys, name):
+    files = restrain_inputs(tmp_path, rng, dim=2)
+    files["test_e"] = emb_file(tmp_path, "test3.evec", [f"q{i}" for i in range(4)], rng.normal(size=(4, 3)))
+    out = tmp_path / "out"
+    assert run_resample(RESAMPLE_RUNS[name], files, out) == 2
+    assert capsys.readouterr().err == "xtrap: data error: dimension mismatch: test dim 3, train dim 2\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", RESAMPLE_RUNS)

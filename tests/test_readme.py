@@ -1,12 +1,15 @@
-"""README's library example runs as written, on small versions of its files."""
+"""README's library example runs as written, on small versions of its files,
+and every command of its shell tour parses."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
+from xtrap import cli
 from xtrap.dataio import QrelSet, QuerySet, RunSet, write_embeddings, write_qrels, write_queries, write_run
 
 from conftest import random_embeddings
@@ -40,3 +43,13 @@ def test_readme_library_block_runs(tmp_path, rng, monkeypatch, capsys):
     buckets = namespace["buckets"]
     assert buckets.dtype == np.intp and buckets.shape == (300,)
     assert namespace["coords"].shape == (20, 2)
+
+
+def test_readme_tour_commands_parse():
+    # every `xtrap` command of the shell tour, continuation lines joined
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("xtrap ")]
+    assert len(commands) == 11  # a split that loses a command fails here
+    for argv in commands:
+        assert cli.build_parser().parse_args(argv[1:]).func is not None, argv

@@ -673,7 +673,13 @@ class TestResttestSplit:
         test_emb = random_embeddings(rng, "q", 2, 3)
         with pytest.raises(DataError) as exc:
             resttest_split(train_emb, test_emb, KMeansConfig(k=2))
-        assert str(exc.value) == "dimension mismatch: train dim 2, test dim 3"
+        assert str(exc.value) == "dimension mismatch: test dim 3, train dim 2"
+
+    def test_empty_training_set_rejected(self, rng):
+        train_emb = make_embeddings([], np.zeros((0, 2)))
+        with pytest.raises(DataError) as exc:
+            resttest_split(train_emb, random_embeddings(rng, "q", 4, 2), KMeansConfig(k=2))
+        assert str(exc.value) == "training set is empty"
 
 
 def recall_run(query_hits: dict[str, int], total=5):

@@ -806,6 +806,14 @@ def test_only_top_k_partitions():
     assert offenders == []
 
 
+def test_each_query_set_clause_is_spelled_once():
+    # the clauses of comparing a test set with a training set have one
+    # message each, raised by simindex._check_train and _check_query_sets
+    source = "".join(p.read_text(encoding="utf-8") for p in Path(xtrap.__file__).parent.glob("*.py"))
+    for message in ("training set is empty", "test set is empty", "dimension mismatch"):
+        assert source.count(message) == 1, message
+
+
 def test_only_rowdot_sums_exact_dot_products():
     # every exact float64 score, norm and distance of kNN and k-means is
     # `_rowdot`'s: einsum is called only inside it, and no BLAS dot product
