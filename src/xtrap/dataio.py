@@ -32,13 +32,13 @@ rules:
 - :class:`QuerySet`, :class:`EmbeddingSet`: unique whitespace-free ids;
   :class:`EmbeddingSet` also finite components
 - :class:`QrelSet`: non-negative grades (a repeated pair keeps its last grade)
-- :class:`RunSet`: one record per (query, doc) pair, finite scores
+- :class:`RunSet`: finite scores, then one record per (query, doc) pair
 
 A reader re-raises a container's error at the record's ``path:line``, or for
 EVEC at the path with the record in the message. The run and qrels readers
 hand each record to the container as it is read, so the first failing line
-is the one reported, whichever rule it breaks. The run reader rejects a
-non-finite score field itself, so that the message quotes the field.
+is the one reported, whichever rule it breaks: a run line ``q Q0 d 1 NaN t``
+fails at its ``path:line``, naming the parsed score and pair: ``nan for (q, d)``.
 """
 
 from __future__ import annotations
@@ -349,13 +349,13 @@ def _rank_records(records: Iterable[tuple[str, tuple[str, float]]], grouped: dic
     isfinite = math.isfinite
     for pos, (qid, entry) in enumerate(records):
         docid, score = entry
+        if not isfinite(score):
+            raise DataError(f"non-finite score {score!r} for ({qid}, {docid})", pos)
         docs = grouped.get(qid)
         if docs is None:
             docs = grouped[qid] = {}
         elif docid in docs:
             raise DataError(f"duplicate (query, doc) pair ({qid}, {docid})", pos)
-        if not isfinite(score):
-            raise DataError(f"non-finite score for ({qid}, {docid})", pos)
         docs[docid] = entry
     ranked = {}
     for qid, docs in grouped.items():
@@ -526,7 +526,6 @@ def parse_run(path) -> RunSet:
 
     def records() -> Iterator[tuple[str, tuple[str, float]]]:
         nonlocal tag, lineno
-        isfinite = math.isfinite
         for first, lines in _iter_blocks(path):
             for lineno, line in enumerate(lines, first):
                 fields = line.split()
@@ -545,8 +544,6 @@ def parse_run(path) -> RunSet:
                     score = _float(score_s)
                 except ValueError:
                     raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None
-                if not isfinite(score):
-                    raise ParseError(path, f"non-finite score {score_s}", lineno)
                 order = file_order.get(qid)
                 if order is None:
                     file_order[qid] = [rank, score]
@@ -618,10 +615,11 @@ def _read_embeddings_binary(path, f: IO[bytes]) -> EmbeddingSet:
     read, readinto = f.read, f.readinto
     read(len(EMBEDDING_MAGIC))  # `read_embeddings` only peeked at it
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str, *args: int) -> bytes:
+        """Read n bytes; `what`, formatted with `args` only on failure, names them."""
         chunk = read(n)
         if len(chunk) < n:
-            raise _binary_error(path, f.tell() - len(chunk), f"truncated file while reading {what}")
+            raise _binary_error(path, f.tell() - len(chunk), f"truncated file while reading {what.format(*args)}")
         return chunk
 
     (version,) = struct.unpack("<I", take(4, "version"))
@@ -641,9 +639,9 @@ def _read_embeddings_binary(path, f: IO[bytes]) -> EmbeddingSet:
     rows = memoryview(matrix.reshape(-1).view(np.uint8))
     vec_bytes = 4 * dim
     for i in range(count):
-        (id_len,) = struct.unpack("<H", take(2, f"id length of record {i}"))
+        (id_len,) = struct.unpack("<H", take(2, "id length of record {}", i))
         try:
-            ids.append(take(id_len, f"id of record {i}").decode("utf-8"))
+            ids.append(take(id_len, "id of record {}", i).decode("utf-8"))
         except UnicodeDecodeError as e:
             raise _binary_error(path, f.tell(), f"record {i}: id is not valid UTF-8: {e}") from e
         got = readinto(rows[i * vec_bytes : (i + 1) * vec_bytes])

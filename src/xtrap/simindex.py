@@ -348,7 +348,7 @@ def recall_candidates(
     te = test_emb.subset(test.ids)
     tr = train_emb.subset(train.ids)
     _check_query_sets(tr, te)
-    dense, _ = knn(te, tr, per_channel, measure=measure)
+    dense, _ = knn(te, tr, min(per_channel, len(tr)), measure=measure)
     index = Bm25Index(train)
     pools: dict[str, list[str]] = {}
     for (qid, text), row in zip(test, dense.tolist()):

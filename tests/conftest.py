@@ -26,6 +26,17 @@ def make_queries(ids, texts=None) -> QuerySet:
     return QuerySet(ids, texts)
 
 
+def anisotropic_rows(seed, n, dim):
+    """Rows that share a unit mean direction and spread along a 1/i spectrum,
+    as dense retrievers' embeddings do (mean cosine about 0.64), in multiples
+    of 2^-12; no row is zero, since its norm is at least 0.8 - 0.6."""
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(size=dim)
+    spread = rng.normal(size=(n, dim)) / np.arange(1, dim + 1)
+    rows = 0.8 * mean / np.linalg.norm(mean) + 0.6 * spread / np.linalg.norm(spread, axis=1, keepdims=True)
+    return np.round(rows * 2.0**12) * 2.0**-12
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -354,7 +354,7 @@ def parse_run(path) -> RunSet:
         except ValueError:
             raise ParseError(path, f"score must be a number, got {score_s!r}", lineno) from None
         if not math.isfinite(score):
-            raise ParseError(path, f"non-finite score {score_s}", lineno)
+            raise ParseError(path, f"non-finite score {score!r} for ({qid}, {docid})", lineno)
         if (qid, docid) in seen:
             raise ParseError(path, f"duplicate (query, doc) pair ({qid}, {docid})", lineno)
         seen.add((qid, docid))

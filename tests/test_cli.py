@@ -169,6 +169,16 @@ class TestEval:
         assert f"{run}:2: score must be a number, got '1_000'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, parsed", [("NaN", "nan"), ("inf", "inf"), ("1e400", "inf")])
+    def test_non_finite_score_is_data_error_at_its_line(self, tmp_path, capsys, field, parsed):
+        # RunSet's rule, at the line that broke it; it wins over the repeated pair
+        run = write(tmp_path / "run.txt", f"q1 Q0 d1 1 2.0 t\nq1 Q0 d1 2 {field} t\n")
+        qrels = write(tmp_path / "qrels.txt", "q1 0 d1 1\n")
+        out = tmp_path / "report.tsv"
+        assert cli.main(["eval", "--run", run, "--qrels", qrels, "--metric", "mrr@10", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"xtrap: data error: {run}:2: non-finite score {parsed} for (q1, d1)\n"
+        assert not out.exists()
+
 
 # grades whose NDCG gain, or whose ideal DCG, does not fit a float64
 OVERFLOWING_GRADES = {
@@ -248,6 +258,21 @@ class TestKnnAndCandidates:
                          "--test-emb", test, "--train-emb", train, "--per-channel", "1",
                          "-o", str(out)]) == 0
         assert out.read_text() == "q\t1\tt2\nq\t2\tt1\n"
+
+    def test_candidates_caps_the_dense_channel_silently(self, tmp_path):
+        # --per-channel above the training size is not knn's -k: no warning
+        train_q = write(tmp_path / "train.tsv", "t1\tred fox\nt2\tblue whale\nt3\tgrey owl\n")
+        test_q = write(tmp_path / "test.tsv", "q\tred fox\n")
+        train = emb_file(tmp_path, "train.evec", ["t1", "t2", "t3"], [[1, 0], [0, 1], [1, 1]])
+        test = emb_file(tmp_path, "test.evec", ["q"], [[0, 1]])
+        out = tmp_path / "cand.tsv"
+        result = subprocess.run(
+            [sys.executable, "-m", "xtrap", "candidates", "--test-queries", test_q, "--train-queries", train_q,
+             "--test-emb", test, "--train-emb", train, "--per-channel", "10", "-o", str(out)],
+            capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert out.read_text() == "q\t1\tt2\nq\t2\tt3\nq\t3\tt1\n"
 
     def test_knn_zero_k_fails_before_reading(self, tmp_path, capsys):
         # neither input exists: the usage error comes before any read

@@ -536,7 +536,11 @@ class TestContainers:
         assert (str(exc.value), exc.value.record) == ("duplicate (query, doc) pair (q1, a)", 3)
         with pytest.raises(DataError) as exc:
             RunSet({"q1": [("a", 1.0), ("b", 1e308)], "q2": [("c", 1e308), ("d", float("nan"))]})
-        assert (str(exc.value), exc.value.record) == ("non-finite score for (q2, d)", 3)
+        assert (str(exc.value), exc.value.record) == ("non-finite score nan for (q2, d)", 3)
+        # a record that breaks both rules fails the finite-score one
+        with pytest.raises(DataError) as exc:
+            RunSet.from_records([("q1", ("a", 1.0)), ("q1", ("a", float("-inf")))])
+        assert (str(exc.value), exc.value.record) == ("non-finite score -inf for (q1, a)", 1)
 
     def test_embeddingset_validations(self):
         with pytest.raises(DataError):
@@ -996,6 +1000,13 @@ def _call_name(node: ast.Call) -> str | None:
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def test_finite_score_rule_is_spelled_once():
+    # RunSet's record rule is the only finite-score test of a run; parse_run
+    # reports its message at the line
+    source = "".join(p.read_text(encoding="utf-8") for p in Path(xtrap.__file__).parent.glob("*.py"))
+    assert source.count("non-finite score") == 1
+
+
 def test_record_rules_have_one_home():
     offenders = []
     defined = set()
@@ -1016,8 +1027,10 @@ def test_record_rules_have_one_home():
                 called = _call_name(node) if isinstance(node, ast.Call) else None
                 if called == "_bad_id" and scope.name not in _BAD_ID_CALLERS:
                     offenders.append(f"{path.name}:{node.lineno}: _bad_id in {scope.name}")
-                if scope.name == "parse_run" and (called == "set" or isinstance(node, (ast.Set, ast.SetComp))):
-                    offenders.append(f"{path.name}:{node.lineno}: a set of pairs in parse_run")
+                if scope.name == "parse_run" and (
+                    called in ("set", "isfinite") or isinstance(node, (ast.Set, ast.SetComp))
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}: a set of pairs or a finite test in parse_run")
                 if scope.name in _SYNTAX_ONLY_READERS and (
                     called in ("isfinite", "set", "dict", "_index_ids")
                     or isinstance(node, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp))

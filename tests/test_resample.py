@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from conftest import make_embeddings, random_embeddings
+from conftest import anisotropic_rows, make_embeddings, random_embeddings
 from xtrap.dataio import DataError, ParseError, QrelSet, RunSet
 from xtrap.metrics import MetricSpec, score_run
 from xtrap.resample import (
@@ -227,17 +227,6 @@ def test_kmeans_tol_stop_matches_float64_lloyd_oracle(data):
     assert got.centroids.tobytes() == want[1].tobytes()
     assert list(got.history) == want[2]
     assert got.iterations == want[3]
-
-
-def anisotropic_rows(seed, n, dim):
-    """Rows that share a unit mean direction and spread along a 1/i spectrum,
-    as dense retrievers' embeddings do (mean cosine about 0.64), in multiples
-    of 2^-12; no row is zero, since its norm is at least 0.8 - 0.6."""
-    rng = np.random.default_rng(seed)
-    mean = rng.normal(size=dim)
-    spread = rng.normal(size=(n, dim)) / np.arange(1, dim + 1)
-    rows = 0.8 * mean / np.linalg.norm(mean) + 0.6 * spread / np.linalg.norm(spread, axis=1, keepdims=True)
-    return np.round(rows * 2.0**12) * 2.0**-12
 
 
 @settings(max_examples=40, deadline=None)
